@@ -16,6 +16,7 @@
 //! portfolio's edge comes from diversification (some worker's heuristics
 //! fit the instance), not from parallel speed-up.
 
+use berkmin::telemetry::json::Value;
 use berkmin::{Budget, PortfolioConfig, PortfolioEngine, SatEngine, SolverConfig};
 use berkmin_bench::{run_engine, run_instance, RunResult, Verdict};
 use berkmin_gens::{hole, ksat, miters, parity, BenchInstance};
@@ -79,37 +80,28 @@ fn compare(inst: &BenchInstance, threads: usize, share_lbd: u32, budget: Budget)
     }
 }
 
-fn json_run(r: &RunResult) -> String {
-    format!(
-        r#"{{"verdict": "{}", "time_s": {:.6}, "conflicts": {}}}"#,
-        r.verdict.label(),
-        r.time.as_secs_f64(),
-        r.stats.conflicts
-    )
-}
-
 fn write_json(path: &str, threads: usize, share_lbd: u32, rows: &[Comparison]) {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"share_lbd\": {share_lbd},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let winner = row
-            .winner
-            .map(|w| w.to_string())
-            .unwrap_or_else(|| "null".to_string());
-        out.push_str(&format!(
-            "    {{\"instance\": \"{}\", \"single\": {}, \"portfolio\": {}, \
-             \"winner\": {winner}, \"winner_conflicts\": {}}}{}\n",
-            row.instance.replace(['"', '\\'], "_"),
-            json_run(&row.single),
-            json_run(&row.portfolio),
-            row.winner_conflicts,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_portfolio.json");
+    let results = rows
+        .iter()
+        .map(|row| {
+            Value::object([
+                ("instance", Value::Str(row.instance.clone())),
+                ("single", row.single.to_json()),
+                ("portfolio", row.portfolio.to_json()),
+                (
+                    "winner",
+                    row.winner.map_or(Value::Null, |w| Value::Int(w as u64)),
+                ),
+                ("winner_conflicts", Value::Int(row.winner_conflicts)),
+            ])
+        })
+        .collect();
+    let doc = Value::object([
+        ("threads", Value::Int(threads as u64)),
+        ("share_lbd", Value::Int(share_lbd.into())),
+        ("results", Value::Array(results)),
+    ]);
+    std::fs::write(path, doc.render() + "\n").expect("write BENCH_portfolio.json");
 }
 
 fn main() {

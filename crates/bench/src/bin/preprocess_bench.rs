@@ -21,6 +21,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use berkmin::telemetry::json::Value;
 use berkmin::{Budget, SimplifyConfig, SolveEvent, SolverBuilder, SolverConfig};
 use berkmin_bench::{run_engine, run_instance, RunResult};
 use berkmin_gens::{bmc_gen, hole, ksat, BenchInstance};
@@ -125,42 +126,32 @@ fn compare(inst: &BenchInstance, budget: Budget) -> Comparison {
     }
 }
 
-fn json_run(r: &RunResult) -> String {
-    format!(
-        r#"{{"verdict": "{}", "time_s": {:.6}, "conflicts": {}}}"#,
-        r.verdict.label(),
-        r.time.as_secs_f64(),
-        r.stats.conflicts
-    )
-}
-
 fn write_json(path: &str, rows: &[Comparison]) {
-    let mut out = String::from("{\n  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.reduction;
-        out.push_str(&format!(
-            "    {{\"instance\": \"{}\", \"vars\": {}, \"clauses\": {}, \
-             \"off\": {}, \"on\": {}, \
-             \"simplify\": {{\"subsumed\": {}, \"strengthened\": {}, \
-             \"eliminated\": {}, \"resolvents\": {}, \
-             \"clauses_before\": {}, \"clauses_after\": {}, \"vars_after\": {}}}}}{}\n",
-            row.instance.replace(['"', '\\'], "_"),
-            row.vars,
-            row.clauses,
-            json_run(&row.off),
-            json_run(&row.on),
-            r.subsumed,
-            r.strengthened,
-            r.eliminated,
-            r.resolvents,
-            r.clauses_before,
-            r.clauses_after,
-            row.vars as u64 - r.eliminated,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_preprocess.json");
+    let results = rows
+        .iter()
+        .map(|row| {
+            let r = &row.reduction;
+            let simplify = Value::object([
+                ("subsumed", Value::Int(r.subsumed)),
+                ("strengthened", Value::Int(r.strengthened)),
+                ("eliminated", Value::Int(r.eliminated)),
+                ("resolvents", Value::Int(r.resolvents)),
+                ("clauses_before", Value::Int(r.clauses_before)),
+                ("clauses_after", Value::Int(r.clauses_after)),
+                ("vars_after", Value::Int(row.vars as u64 - r.eliminated)),
+            ]);
+            Value::object([
+                ("instance", Value::Str(row.instance.clone())),
+                ("vars", Value::Int(row.vars as u64)),
+                ("clauses", Value::Int(row.clauses as u64)),
+                ("off", row.off.to_json()),
+                ("on", row.on.to_json()),
+                ("simplify", simplify),
+            ])
+        })
+        .collect();
+    let doc = Value::object([("results", Value::Array(results))]);
+    std::fs::write(path, doc.render() + "\n").expect("write BENCH_preprocess.json");
 }
 
 fn main() {

@@ -5,6 +5,7 @@
 
 use std::time::{Duration, Instant};
 
+use berkmin::telemetry::json::Value;
 use berkmin::{Budget, SatEngine, SolveStatus, SolverBuilder, SolverConfig, Stats};
 use berkmin_gens::BenchInstance;
 
@@ -41,6 +42,18 @@ pub struct RunResult {
     pub time: Duration,
     /// Full solver statistics.
     pub stats: Stats,
+}
+
+impl RunResult {
+    /// The run as one arm of a `BENCH_*.json` row: verdict, wall-clock
+    /// seconds and conflicts.
+    pub fn to_json(&self) -> Value {
+        Value::object([
+            ("verdict", Value::Str(self.verdict.label().to_string())),
+            ("time_s", Value::Num(self.time.as_secs_f64())),
+            ("conflicts", Value::Int(self.stats.conflicts)),
+        ])
+    }
 }
 
 /// Runs `inst` under `config` with the given conflict budget: builds the

@@ -10,38 +10,43 @@
 //! after each conflict and imported by the other workers at their solve
 //! entries and restart boundaries.
 //!
-//! Two execution modes:
+//! # The formula store
 //!
-//! * **Threaded** (default): one `std::thread` per worker, real wall-clock
-//!   racing. Non-deterministic — the winner depends on scheduling.
+//! The engine keeps its formula in one long-lived [`Solver`] that never
+//! searches. Clauses, assumptions and the freeze/melt contract
+//! ([`Solver::freeze`]) go straight to it. At every solve call the store
+//! runs the ordinary [`crate::preprocess`] passes per
+//! [`PortfolioConfig::simplify`] — once, before diversifying, so
+//! subsumption, strengthening and variable elimination are paid one time
+//! instead of once per worker — and exports the result: its level-0 units
+//! plus its live original clauses. The workers load that snapshot inside
+//! their threads and run with simplification off. A winning SAT model is
+//! extended over the eliminated variables through the store's
+//! reconstruction stack.
+//!
+//! # One scheduler
+//!
+//! Both execution modes drive the same worker operations — build, step,
+//! finish — and let the first definitive answer claim the win:
+//!
+//! * **Threaded** (default): one `std::thread` per worker, each running a
+//!   single step under the full budget. Non-deterministic — the winner
+//!   depends on scheduling.
 //! * **Deterministic** ([`PortfolioConfig::deterministic`]): the workers
-//!   run round-robin on the calling thread in fixed conflict-budget slices
-//!   ([`PortfolioConfig::slice_conflicts`]); the first definitive answer in
-//!   worker order wins. Same code paths (including sharing), reproducible
-//!   verdicts, winner and statistics — what the test suite and the fuzz
-//!   harness drive.
-//!
-//! # Pre-simplification
-//!
-//! Per [`PortfolioConfig::simplify`], the engine simplifies the accumulated
-//! formula **once, before diversifying** (through a throwaway solver
-//! running the ordinary [`crate::preprocess`] passes), so subsumption,
-//! strengthening and variable elimination are paid one time instead of
-//! once per worker; the workers themselves run with simplification off.
-//! Eliminated variables accumulate on an engine-level reconstruction
-//! stack — winning SAT models are extended back over them — and the
-//! freeze/melt contract matches the single solver's
-//! ([`PortfolioEngine::freeze`]).
+//!   step round-robin on the calling thread in fixed slices of 512
+//!   conflicts; the first definitive answer in worker order wins. Same code
+//!   paths (including sharing), reproducible verdicts, winner and
+//!   statistics — what the test suite and the fuzz harness drive.
 //!
 //! # Proofs
 //!
 //! With sharing **off**, a proof sink attached via
-//! [`PortfolioEngine::set_proof`] receives the winning worker's complete
-//! DRAT stream (each worker logs privately into a buffer; only the winner's
-//! is replayed), prefixed by the pre-simplifier's additions and deletions —
-//! every simplifier clause is RUP at its emission point, and the winner
-//! proves from the simplified formula, so the concatenation checks against
-//! the original formula. With sharing **on**, imported clauses are not
+//! [`PortfolioEngine::set_proof`] receives the store's simplification steps
+//! followed by the winning worker's complete DRAT stream (each worker logs
+//! privately into a buffer; only the winner's is replayed). Every
+//! simplifier clause is RUP at its emission point, and the winner proves
+//! from the simplified formula, so the concatenation checks against the
+//! original formula. With sharing **on**, imported clauses are not
 //! RUP-derivable in the importer's own proof, so attaching a proof sink is
 //! a configuration error and `set_proof` panics — the engine never emits an
 //! unsound proof silently.
@@ -51,28 +56,27 @@ mod worker;
 
 pub(crate) use share::ClausePool;
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 use berkmin_cnf::{Assignment, LBool, Lit, Var};
 
 use crate::config::{Budget, SimplifyConfig, SolverConfig};
 use crate::engine::SatEngine;
-use crate::preprocess::Reconstructor;
-use crate::proof::ProofSink;
+use crate::proof::{NoProof, ProofSink};
 use crate::search::{SolveStatus, StopReason};
 use crate::solver::Solver;
 use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
 
-use share::PoolSummary;
-use worker::{emit_shared, ProofBuffer, ProofOp, SharedObserver, WorkerResult};
+use worker::{emit_shared, ProofOp, Race, SharedObserver, Worker, WorkerResult};
 
 /// Maximum clauses the share pool retains; older entries are evicted
 /// (sharing is best-effort — dropping a clause never costs soundness).
 const POOL_CAPACITY: usize = 4096;
+
+/// Conflicts per worker per round in deterministic mode.
+const SLICE_CONFLICTS: u64 = 512;
 
 /// Configuration of a [`PortfolioEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,8 +92,6 @@ pub struct PortfolioConfig {
     /// conflict slices instead of spawning threads — reproducible verdict,
     /// winner and statistics (used by tests and the fuzz harness).
     pub deterministic: bool,
-    /// Conflict-budget slice per worker per round in deterministic mode.
-    pub slice_conflicts: u64,
     /// Per-worker resource budget for each solve call. In deterministic
     /// mode only the conflict component is honored (the schedule slices by
     /// conflicts).
@@ -109,7 +111,6 @@ impl Default for PortfolioConfig {
             threads: 4,
             share_lbd: Some(4),
             deterministic: false,
-            slice_conflicts: 512,
             budget: Budget::unlimited(),
             paranoid: false,
             simplify: SimplifyConfig::default(),
@@ -171,6 +172,17 @@ pub enum WorkerOutcome {
     Stopped(StopReason),
 }
 
+impl WorkerOutcome {
+    /// The outcome's name: `"sat"`, `"unsat"` or `"stopped"`.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            WorkerOutcome::Sat => "sat",
+            WorkerOutcome::Unsat => "unsat",
+            WorkerOutcome::Stopped(_) => "stopped",
+        }
+    }
+}
+
 /// Per-worker summary of the last [`PortfolioEngine::solve`] call — what
 /// the CLI's `c workers` line prints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +212,7 @@ pub struct WorkerReport {
 /// [`SatEngine`] interface.
 ///
 /// Clauses and assumptions accumulate exactly as on a single
-/// [`Solver`](crate::Solver);
+/// [`Solver`](crate::Solver) — they are stored in one;
 /// each [`solve`](SatEngine::solve) call builds a fresh set of diversified
 /// workers over the accumulated formula and races them (threaded or
 /// deterministic per [`PortfolioConfig`]). Learnt state is **not** carried
@@ -224,12 +236,10 @@ pub struct WorkerReport {
 /// ```
 pub struct PortfolioEngine {
     config: PortfolioConfig,
-    num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
-    /// `false` once an empty clause was added (trivial unsatisfiability).
-    ok: bool,
-    pending: Vec<Lit>,
-    calls: u64,
+    /// The formula store: clauses, pending assumptions, freeze and
+    /// elimination flags and the reconstruction stack. It only ever runs
+    /// the preprocessor; the workers search.
+    store: Solver,
     stats: Stats,
     model: Option<Assignment>,
     failed: Vec<Lit>,
@@ -237,30 +247,13 @@ pub struct PortfolioEngine {
     winner: Option<usize>,
     proof: Option<Box<dyn ProofSink>>,
     observer: Option<Box<dyn SolveObserver + Send>>,
-    /// Variables protected from elimination by the pre-simplifier.
-    frozen: Vec<bool>,
-    /// Variables the pre-simplifier has eliminated (see
-    /// [`PortfolioEngine::freeze`] for the contract this implies).
-    eliminated: Vec<bool>,
-    /// Engine-level reconstruction stack accumulating the eliminations of
-    /// every pre-simplification run; winning SAT models are extended
-    /// through it.
-    recon: Reconstructor,
-    /// Whether pre-simplification already ran (without
-    /// [`SimplifyConfig::inprocess`] it runs only once).
-    simplified_once: bool,
-    /// The pre-simplifier's buffered proof stream, drained into the
-    /// attached sink ahead of the winner's ops.
-    pending_simplify_ops: Vec<ProofOp>,
 }
 
 impl std::fmt::Debug for PortfolioEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PortfolioEngine")
             .field("config", &self.config)
-            .field("num_vars", &self.num_vars)
-            .field("clauses", &self.clauses.len())
-            .field("eliminated", &self.recon.len())
+            .field("store", &self.store)
             .field("winner", &self.winner)
             .field("proof", &self.proof.is_some())
             .field("observer", &self.observer.is_some())
@@ -271,17 +264,17 @@ impl std::fmt::Debug for PortfolioEngine {
 impl PortfolioEngine {
     /// Creates an empty portfolio engine.
     pub fn new(config: PortfolioConfig) -> Self {
+        let store = Solver::with_config(
+            SolverConfig::berkmin()
+                .with_simplify(config.simplify)
+                .with_paranoid(config.paranoid),
+        );
         PortfolioEngine {
             config: PortfolioConfig {
                 threads: config.threads.max(1),
-                slice_conflicts: config.slice_conflicts.max(1),
                 ..config
             },
-            num_vars: 0,
-            clauses: Vec::new(),
-            ok: true,
-            pending: Vec::new(),
-            calls: 0,
+            store,
             stats: Stats::new(),
             model: None,
             failed: Vec::new(),
@@ -289,11 +282,6 @@ impl PortfolioEngine {
             winner: None,
             proof: None,
             observer: None,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            recon: Reconstructor::default(),
-            simplified_once: false,
-            pending_simplify_ops: Vec::new(),
         }
     }
 
@@ -303,9 +291,9 @@ impl PortfolioEngine {
     }
 
     /// Attaches a proof sink that will receive the **winning worker's**
-    /// complete DRAT stream after every solve call, prefixed by the
+    /// complete DRAT stream after every solve call, preceded by the
     /// pre-simplifier's additions and deletions (attach before the first
-    /// solve so the prefix lands ahead of any worker-derived clause).
+    /// solve so those land ahead of any worker-derived clause).
     ///
     /// # Panics
     ///
@@ -341,388 +329,122 @@ impl PortfolioEngine {
         self.config.budget = budget;
     }
 
-    /// Protects `var` from elimination by the pre-simplifier — the same
-    /// contract as [`Solver::freeze`](crate::Solver::freeze): freeze every
-    /// variable that *future* clauses or assumptions may mention before the
-    /// first solve call. The current call's assumption variables are frozen
-    /// automatically (and permanently).
+    /// Protects `var` from elimination by the pre-simplifier — the
+    /// contract of [`Solver::freeze`](crate::Solver::freeze), which this
+    /// forwards to.
     pub fn freeze(&mut self, var: Var) {
-        self.num_vars = self.num_vars.max(var.index() + 1);
-        if self.frozen.len() < self.num_vars {
-            self.frozen.resize(self.num_vars, false);
-        }
-        self.frozen[var.index()] = true;
+        self.store.freeze(var);
     }
 
     /// Lifts a [`PortfolioEngine::freeze`]: the next pre-simplification run
     /// (under [`SimplifyConfig::inprocess`]) may eliminate `var` again.
     pub fn melt(&mut self, var: Var) {
-        if let Some(f) = self.frozen.get_mut(var.index()) {
-            *f = false;
-        }
+        self.store.melt(var);
     }
 
     /// Whether `var` is currently protected from elimination.
     pub fn is_frozen(&self, var: Var) -> bool {
-        self.frozen.get(var.index()).copied().unwrap_or(false)
+        self.store.is_frozen(var)
     }
 
     /// Whether the pre-simplifier has eliminated `var` (see
     /// [`PortfolioEngine::freeze`] for the contract this implies).
     pub fn is_eliminated(&self, var: Var) -> bool {
-        self.eliminated.get(var.index()).copied().unwrap_or(false)
+        self.store.is_eliminated(var)
     }
 
-    /// The diversified configuration worker `id` will run with.
-    fn worker_config(&self, id: usize) -> SolverConfig {
-        let budget = if self.config.deterministic {
-            // Deterministic mode slices budgets per round itself.
-            Budget::unlimited()
+    /// Races the workers and returns the winner and every worker's result.
+    /// Threaded: one step per thread under the full budget, the losers
+    /// cancelled by the winner's flag; worker events (when observing)
+    /// arrive in scheduling order. Deterministic: see `round_robin`.
+    fn race(&self, race: Race) -> (Option<usize>, Vec<WorkerResult>) {
+        let results = if self.config.deterministic {
+            self.round_robin(&race)
         } else {
-            self.config.budget
-        };
-        SolverConfig::portfolio_worker(id)
-            .with_budget(budget)
-            .with_paranoid(self.config.paranoid)
-            // The engine simplifies the shared formula once up front; the
-            // workers must not re-run (and re-pay for) the passes.
-            .with_simplify(SimplifyConfig::off())
-    }
-
-    /// Simplifies the accumulated formula through a throwaway solver before
-    /// the workers diversify — the reduction is paid once instead of N
-    /// times. Runs at the first solve call only, unless
-    /// [`SimplifyConfig::inprocess`] asks for every call.
-    ///
-    /// The simplifier's proof stream is buffered into
-    /// `pending_simplify_ops` (drained into the attached sink by
-    /// [`SatEngine::solve`] ahead of the winner's ops); its eliminations are
-    /// folded into the engine's `eliminated` flags and reconstruction
-    /// stack, and its `Simplify` telemetry is re-emitted through `shared`.
-    fn pre_simplify(&mut self, assumptions: &[Lit], shared: &Option<SharedObserver>) {
-        let cfg = self.config.simplify;
-        if !self.ok || !cfg.enable || (!cfg.subsumption && !cfg.var_elim) {
-            return;
-        }
-        if self.simplified_once && !cfg.inprocess {
-            return;
-        }
-        self.simplified_once = true;
-        // This call's assumption variables must survive elimination
-        // (permanently — a later call may assume them again).
-        for &a in assumptions {
-            self.freeze(a.var());
-        }
-
-        let mut s = Solver::with_config(
-            SolverConfig::berkmin()
-                .with_simplify(cfg)
-                .with_paranoid(self.config.paranoid),
-        );
-        s.reserve_vars(self.num_vars);
-        for (i, &frozen) in self.frozen.iter().enumerate() {
-            if frozen {
-                s.freeze(Var::new(i as u32));
-            }
-        }
-        let captured: Rc<RefCell<Vec<SolveEvent>>> = Rc::new(RefCell::new(Vec::new()));
-        if shared.is_some() {
-            let tap = Rc::clone(&captured);
-            s.set_observer(Some(Box::new(move |e: &SolveEvent| {
-                tap.borrow_mut().push(e.clone())
-            })));
-        }
-        for c in &self.clauses {
-            s.add_clause(c.iter().copied());
-        }
-        let mut buf = ProofBuffer::default();
-        if s.is_ok() && s.propagate().is_some() {
-            s.ok = false;
-        }
-        if s.is_ok() {
-            s.simplify_formula(&mut buf);
-        }
-
-        // Export the simplified formula: the level-0 trail as unit clauses
-        // plus the live original clauses (the throwaway never searches, so
-        // learnt clauses cannot arise).
-        let mut clauses: Vec<Vec<Lit>> = s.trail.iter().map(|&l| vec![l]).collect();
-        for cref in s.db.iter_live() {
-            if !s.db.is_learnt(cref) {
-                clauses.push(s.db.lits(cref).to_vec());
-            }
-        }
-        if !s.is_ok() {
-            // Refuted at level 0. The empty clause is RUP here (unit
-            // propagation over the simplified formula conflicts), so it
-            // both completes the buffered proof and resolves the race
-            // trivially and uniformly.
-            buf.ops.push(ProofOp::Add(Vec::new()));
-            clauses.push(Vec::new());
-            self.ok = false;
-        }
-        self.clauses = clauses;
-        self.pending_simplify_ops.extend(buf.ops);
-
-        // Fold the run into the engine: eliminated flags, reconstruction
-        // entries (appended — these eliminations are the latest) and the
-        // simplification work counters.
-        if self.eliminated.len() < self.num_vars {
-            self.eliminated.resize(self.num_vars, false);
-        }
-        for (i, &e) in s.eliminated.iter().enumerate() {
-            if e {
-                self.eliminated[i] = true;
-            }
-        }
-        self.recon.absorb(&s.reconstructor);
-        self.stats.merge(s.stats());
-        if let Some(obs) = shared {
-            for event in captured.borrow().iter() {
-                emit_shared(obs, event);
-            }
-        }
-    }
-
-    /// Threaded race: one scoped thread per worker, first definitive
-    /// answer claims the win and raises the shared cancel flag. Worker
-    /// events (when observing) arrive in scheduling order, serialized by
-    /// the observer mutex.
-    fn run_threaded(
-        &self,
-        assumptions: &[Lit],
-        observer: Option<SharedObserver>,
-    ) -> (Option<usize>, Vec<WorkerResult>, Option<PoolSummary>) {
-        let n = self.config.threads;
-        let cancel = Arc::new(AtomicBool::new(false));
-        let pool = self
-            .config
-            .share_lbd
-            .map(|_| Arc::new(ClausePool::new(POOL_CAPACITY, n)));
-        let record_proof = self.proof.is_some();
-        let winner_slot: Mutex<Option<usize>> = Mutex::new(None);
-        let clauses = &self.clauses;
-        let num_vars = self.num_vars;
-
-        let results: Vec<WorkerResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|id| {
-                    let config = self.worker_config(id);
-                    let cancel = Arc::clone(&cancel);
-                    let sharing = self.config.share_lbd.zip(pool.as_ref().map(Arc::clone));
-                    let observer = observer.clone();
-                    let winner_slot = &winner_slot;
-                    s.spawn(move || {
-                        let result = worker::run_worker(
-                            id,
-                            num_vars,
-                            clauses,
-                            assumptions,
-                            config,
-                            sharing,
-                            Arc::clone(&cancel),
-                            observer,
-                            record_proof,
-                        );
-                        if !result.status.is_unknown() {
-                            let mut slot = winner_slot.lock().unwrap();
-                            if slot.is_none() {
-                                *slot = Some(id);
-                                cancel.store(true, Ordering::SeqCst);
-                            }
-                        }
-                        result
+            let (race, budget) = (&race, self.config.budget);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..self.config.threads)
+                    .map(|id| {
+                        s.spawn(move || {
+                            let mut worker = Worker::build(id, race);
+                            worker.step(budget);
+                            worker.finish()
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let winner = *winner_slot.lock().unwrap();
-        let summary = pool.map(|p| p.summary());
-        (winner, results, summary)
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        (race.winner.into_inner().unwrap(), results)
     }
 
-    /// Deterministic race: round-robin conflict slices on the calling
-    /// thread; the first definitive answer in worker order wins. A worker
-    /// retires once its cumulative conflicts reach the per-worker budget.
-    /// Worker events (when observing) form a reproducible stream:
-    /// `WorkerStart` in worker order up front, the tagged solver events in
-    /// schedule order, `WorkerDone` in worker order at the end.
-    fn run_deterministic(
-        &self,
-        assumptions: &[Lit],
-        observer: Option<SharedObserver>,
-    ) -> (Option<usize>, Vec<WorkerResult>, Option<PoolSummary>) {
-        let n = self.config.threads;
-        let pool = self
-            .config
-            .share_lbd
-            .map(|_| Arc::new(ClausePool::new(POOL_CAPACITY, n)));
-        let record_proof = self.proof.is_some();
-        let slice = self.config.slice_conflicts;
+    /// The deterministic schedule: steps of [`SLICE_CONFLICTS`] in worker
+    /// order, round after round, until one is definitive or every worker
+    /// has spent its conflict budget. Worker events (when observing) form a
+    /// reproducible stream: `WorkerStart` in worker order, the tagged
+    /// solver events in schedule order, then `WorkerDone` in worker order.
+    fn round_robin(&self, race: &Race) -> Vec<WorkerResult> {
         let cap = self.config.budget.max_conflicts;
-
-        let mut workers: Vec<_> = (0..n)
-            .map(|id| {
-                let sharing = self.config.share_lbd.zip(pool.as_ref().map(Arc::clone));
-                worker::build_worker(
-                    id,
-                    self.num_vars,
-                    &self.clauses,
-                    self.worker_config(id),
-                    sharing,
-                    None,
-                    observer.clone(),
-                    record_proof,
-                )
-            })
+        let mut workers: Vec<Worker> = (0..self.config.threads)
+            .map(|id| Worker::build(id, race))
             .collect();
-        if let Some(shared) = &observer {
-            for id in 0..n {
-                emit_shared(shared, &SolveEvent::WorkerStart { worker: id });
-            }
-        }
-
-        let mut last: Vec<Option<SolveStatus>> = (0..n).map(|_| None).collect();
-        let mut retired = vec![false; n];
-        let mut winner = None;
-        'race: loop {
+        'rounds: loop {
             let mut live = false;
-            for (id, (solver, _)) in workers.iter_mut().enumerate() {
-                if retired[id] {
-                    continue;
-                }
-                let spent = solver.stats().conflicts;
-                let allowance = if cap == u64::MAX {
-                    slice
-                } else {
-                    slice.min(cap.saturating_sub(spent))
-                };
+            for worker in &mut workers {
+                let allowance = SLICE_CONFLICTS.min(cap.saturating_sub(worker.conflicts()));
                 if allowance == 0 {
-                    retired[id] = true;
-                    last[id] = Some(SolveStatus::Unknown(StopReason::ConflictBudget));
+                    worker.stop(StopReason::ConflictBudget);
                     continue;
                 }
                 live = true;
-                solver.set_budget(Budget::conflicts(allowance));
-                for &a in assumptions {
-                    solver.assume(a);
-                }
-                let status = solver.solve();
-                let definitive = !status.is_unknown();
-                last[id] = Some(status);
-                if definitive {
-                    winner = Some(id);
-                    break 'race;
+                if worker.step(Budget::conflicts(allowance)) {
+                    break 'rounds;
                 }
             }
             if !live {
                 break;
             }
         }
-
-        let results: Vec<WorkerResult> = workers
-            .into_iter()
-            .zip(last)
-            .map(|((solver, tap), status)| {
-                // Workers the schedule never reached before the race ended
-                // report the cooperative-stop reason, like threaded losers.
-                let status = status.unwrap_or(SolveStatus::Unknown(StopReason::Callback));
-                let failed = solver.failed_assumptions().to_vec();
-                let stats = solver.stats().clone();
-                drop(solver);
-                let proof_ops = tap
-                    .and_then(|t| std::rc::Rc::try_unwrap(t).ok())
-                    .map(|cell| cell.into_inner().ops)
-                    .unwrap_or_default();
-                WorkerResult {
-                    status,
-                    failed,
-                    stats,
-                    proof_ops,
-                }
-            })
-            .collect();
-        if let Some(shared) = &observer {
-            for (id, result) in results.iter().enumerate() {
-                emit_shared(
-                    shared,
-                    &SolveEvent::WorkerDone {
-                        worker: id,
-                        verdict: SolveVerdict::from(&result.status),
-                    },
-                );
-            }
-        }
-        let summary = pool.map(|p| p.summary());
-        (winner, results, summary)
+        workers.into_iter().map(Worker::finish).collect()
     }
 }
 
 impl SatEngine for PortfolioEngine {
     fn reserve_vars(&mut self, n: usize) {
-        self.num_vars = self.num_vars.max(n);
+        self.store.reserve_vars(n);
     }
 
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        for l in lits {
-            assert!(
-                !self.is_eliminated(l.var()),
-                "add_clause mentions eliminated variable {:?}: freeze it \
-                 before the first solve, or disable variable elimination \
-                 (SimplifyConfig::var_elim)",
-                l.var()
-            );
-            self.num_vars = self.num_vars.max(l.var().index() + 1);
-        }
-        if lits.is_empty() {
-            self.ok = false;
-        }
-        self.clauses.push(lits.to_vec());
-        self.ok
+        self.store.add_clause(lits.iter().copied())
     }
 
     fn assume(&mut self, lit: Lit) {
-        assert!(
-            !self.is_eliminated(lit.var()),
-            "assume mentions eliminated variable {:?}: freeze it before \
-             solving, or disable variable elimination \
-             (SimplifyConfig::var_elim)",
-            lit.var()
-        );
-        self.num_vars = self.num_vars.max(lit.var().index() + 1);
-        self.pending.push(lit);
+        self.store.assume(lit);
     }
 
     fn solve(&mut self) -> SolveStatus {
-        let assumptions = std::mem::take(&mut self.pending);
-        self.calls += 1;
+        self.stats.solve_calls += 1;
         self.reports.clear();
         self.winner = None;
         self.model = None;
         self.failed.clear();
 
         // The observer moves behind an `Arc<Mutex<..>>` for the race (the
-        // workers' `Forward` adapters and the portfolio itself share it)
-        // and is reclaimed afterwards for the next call.
+        // store, the workers' `Forward` adapters and the portfolio itself
+        // share it) and is reclaimed afterwards for the next call.
         let shared: Option<SharedObserver> = self.observer.take().map(|b| Arc::new(Mutex::new(b)));
-        if let Some(obs) = &shared {
-            emit_shared(
-                obs,
-                &SolveEvent::SolveStart {
-                    call: self.calls,
-                    num_vars: self.num_vars,
-                    num_clauses: self.clauses.len(),
-                    assumptions: assumptions.len(),
-                },
-            );
-        }
+        emit_shared(
+            &shared,
+            &SolveEvent::SolveStart {
+                call: self.stats.solve_calls,
+                num_vars: self.store.num_vars(),
+                num_clauses: self.store.num_live_clauses(),
+                assumptions: self.store.pending_assumptions.len(),
+            },
+        );
         let base = (
             self.stats.conflicts,
             self.stats.decisions,
@@ -730,24 +452,43 @@ impl SatEngine for PortfolioEngine {
             self.stats.restarts,
         );
 
-        // Simplify the shared formula once before diversifying, and flush
-        // the simplifier's proof prefix before any worker-derived clause.
-        self.pre_simplify(&assumptions, &shared);
-        if let Some(sink) = &mut self.proof {
-            for op in self.pending_simplify_ops.drain(..) {
-                match &op {
-                    ProofOp::Add(lits) => sink.add_clause(lits),
-                    ProofOp::Delete(lits) => sink.delete_clause(lits),
-                }
-            }
+        // Simplify the formula once before diversifying. The store reports
+        // its steps straight to the proof sink (ahead of any worker-derived
+        // clause) and its `Simplify` event to the observer; its counters
+        // for this call fold into the portfolio's.
+        if let Some(obs) = &shared {
+            let obs = Arc::clone(obs);
+            self.store
+                .set_observer(Some(Box::new(move |e: &SolveEvent| {
+                    obs.lock().unwrap().on_event(e)
+                })));
         }
-
-        let (winner, results, pool_summary) = if self.config.deterministic {
-            self.run_deterministic(&assumptions, shared.clone())
-        } else {
-            self.run_threaded(&assumptions, shared.clone())
+        let clauses = match self.proof.as_deref_mut() {
+            Some(sink) => self.store.simplified_clauses(sink),
+            None => self.store.simplified_clauses(&mut NoProof),
         };
+        self.store.set_observer(None);
+        self.stats.merge(&std::mem::take(&mut self.store.stats));
+        self.stats.initial_clauses = clauses.len() as u64;
+
+        let pool = self
+            .config
+            .share_lbd
+            .map(|_| Arc::new(ClausePool::new(POOL_CAPACITY, self.config.threads)));
+        let race = Race {
+            num_vars: self.store.num_vars(),
+            clauses: &clauses,
+            assumptions: &self.store.assumptions,
+            sharing: self.config.share_lbd.zip(pool.clone()),
+            cancel: Arc::new(AtomicBool::new(false)),
+            winner: Mutex::new(None),
+            observer: shared.clone(),
+            record_proof: self.proof.is_some(),
+            paranoid: self.config.paranoid,
+        };
+        let (winner, results) = self.race(race);
         self.winner = winner;
+        let pool_summary = pool.map(|p| p.summary());
 
         for (id, result) in results.iter().enumerate() {
             let outcome = match &result.status {
@@ -770,11 +511,6 @@ impl SatEngine for PortfolioEngine {
             });
             self.stats.merge(&result.stats);
         }
-        // `Stats::merge` leaves the formula-level counters alone; set the
-        // portfolio-level view explicitly (the formula is shared, not
-        // duplicated N times, and one portfolio call is one solve call).
-        self.stats.initial_clauses = self.clauses.len() as u64;
-        self.stats.solve_calls = self.calls;
         if let Some(summary) = &pool_summary {
             self.stats.pool_evicted += summary.evicted;
             self.stats.pool_missed += summary.missed.iter().sum::<u64>();
@@ -806,9 +542,7 @@ impl SatEngine for PortfolioEngine {
                         // reconstruction overwrites with the value that
                         // satisfies the dissolved clauses).
                         let mut model = model.clone();
-                        if self.recon.len() > 0 {
-                            self.recon.extend_model(&mut model);
-                        }
+                        self.store.reconstructor.extend_model(&mut model);
                         self.model = Some(model.clone());
                         SolveStatus::Sat(model)
                     }
@@ -821,31 +555,27 @@ impl SatEngine for PortfolioEngine {
             }
         };
 
-        if let Some(obs) = &shared {
-            if let Some(summary) = &pool_summary {
-                if summary.evicted > 0 {
-                    emit_shared(
-                        obs,
-                        &SolveEvent::PoolEvicted {
-                            evicted: summary.evicted,
-                        },
-                    );
-                }
-            }
+        if let Some(summary) = pool_summary.filter(|s| s.evicted > 0) {
             emit_shared(
-                obs,
-                &SolveEvent::SolveDone {
-                    verdict: SolveVerdict::from(&status),
-                    conflicts: self.stats.conflicts - base.0,
-                    decisions: self.stats.decisions - base.1,
-                    propagations: self.stats.propagations - base.2,
-                    restarts: self.stats.restarts - base.3,
+                &shared,
+                &SolveEvent::PoolEvicted {
+                    evicted: summary.evicted,
                 },
             );
         }
+        emit_shared(
+            &shared,
+            &SolveEvent::SolveDone {
+                verdict: SolveVerdict::from(&status),
+                conflicts: self.stats.conflicts - base.0,
+                decisions: self.stats.decisions - base.1,
+                propagations: self.stats.propagations - base.2,
+                restarts: self.stats.restarts - base.3,
+            },
+        );
         if let Some(arc) = shared {
-            // Threads are joined and deterministic workers dropped, so this
-            // is the last clone; reclaim the observer for the next call.
+            // Threads are joined and the race dropped, so this is the last
+            // clone; reclaim the observer for the next call.
             if let Ok(mutex) = Arc::try_unwrap(arc) {
                 self.observer = Some(mutex.into_inner().unwrap());
             }
@@ -917,7 +647,8 @@ mod tests {
         assert!(engine.winner().is_some());
 
         assert!(engine.add_clause(&[lit(2)]));
-        assert!(engine.add_clause(&[lit(-2)]));
+        // x2 is a level-0 unit by now, so (¬x2) empties: trivially UNSAT.
+        assert!(!engine.add_clause(&[lit(-2)]));
         assert!(engine.solve().is_unsat());
         assert!(engine.failed_assumptions().is_empty());
     }
@@ -927,6 +658,23 @@ mod tests {
         let mut engine = deterministic(2, None);
         assert!(!engine.add_clause(&[]));
         assert!(engine.solve().is_unsat());
+    }
+
+    /// Regression: the portfolio used to report `false` only for a
+    /// literally empty clause, breaking the [`SatEngine::add_clause`]
+    /// contract once the formula became trivially unsatisfiable.
+    #[test]
+    fn add_clause_reports_trivial_unsat_like_a_single_solver() {
+        let mut solver = Solver::with_config(SolverConfig::berkmin());
+        let mut portfolio = deterministic(2, None);
+        let engines: [&mut dyn SatEngine; 2] = [&mut solver, &mut portfolio];
+        for engine in engines {
+            let added: Vec<bool> = [vec![lit(1)], vec![lit(-1)], vec![lit(2), lit(3)]]
+                .iter()
+                .map(|c| engine.add_clause(c))
+                .collect();
+            assert_eq!(added, [true, false, false]);
+        }
     }
 
     #[test]
@@ -1072,7 +820,7 @@ mod tests {
         for c in pigeonhole(4) {
             engine.add_clause(&c);
         }
-        let num_clauses = engine.clauses.len() as u64;
+        let num_clauses = pigeonhole(4).len() as u64;
         assert!(engine.solve().is_unsat());
         assert_eq!(engine.stats().initial_clauses, num_clauses);
         assert_eq!(engine.stats().solve_calls, 1);
@@ -1176,7 +924,7 @@ mod tests {
             }
         }
 
-        let sink = std::rc::Rc::new(RefCell::new(Recording::default()));
+        let sink = std::rc::Rc::new(std::cell::RefCell::new(Recording::default()));
         let mut engine = simplifying(2);
         engine.set_proof(Box::new(std::rc::Rc::clone(&sink)));
         // The ternary clause is subsumed (a deletion in the prefix) and the

@@ -1,12 +1,18 @@
-//! Construction and execution of one portfolio worker.
+//! One portfolio worker and the race it runs in.
 //!
 //! A worker is an ordinary [`Solver`] assembled from the portfolio's
-//! accumulated formula with a diversified configuration
-//! ([`SolverConfig::portfolio_worker`]), a cancellation flag wired through
-//! the `on_terminate` hook, and — when sharing is on — the export/import
-//! hooks connected to the shared [`ClausePool`]. Workers are built *inside*
-//! their threads ([`Solver`] is deliberately `!Send`: it carries boxed
-//! callbacks); only plain data crosses thread boundaries.
+//! formula snapshot with a diversified configuration
+//! ([`SolverConfig::portfolio_worker`]), the race's cancellation flag wired
+//! through the `on_terminate` hook, and — when sharing is on — the
+//! export/import hooks connected to the shared [`ClausePool`]. Workers are
+//! built *inside* their threads ([`Solver`] is deliberately `!Send`: it
+//! carries boxed callbacks); only plain data crosses thread boundaries.
+//!
+//! Both schedules drive a worker through the same three operations:
+//! [`Worker::build`] (emits `WorkerStart`), any number of [`Worker::step`]s
+//! (each stages the assumptions and solves under an allowance; the first
+//! definitive answer of the race claims the win), and [`Worker::finish`]
+//! (packages a [`WorkerResult`] and emits `WorkerDone`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,9 +22,9 @@ use std::sync::{Arc, Mutex};
 use berkmin_cnf::Lit;
 
 use crate::builder::SolverBuilder;
-use crate::config::SolverConfig;
+use crate::config::{Budget, SimplifyConfig, SolverConfig};
 use crate::proof::ProofSink;
-use crate::search::SolveStatus;
+use crate::search::{SolveStatus, StopReason};
 use crate::solver::Solver;
 use crate::stats::Stats;
 use crate::telemetry::{SolveEvent, SolveObserver, SolveVerdict};
@@ -47,9 +53,12 @@ impl SolveObserver for Forward {
     }
 }
 
-/// Emits a portfolio-level (untagged) event into the shared observer.
-pub(crate) fn emit_shared(observer: &SharedObserver, event: &SolveEvent) {
-    observer.lock().unwrap().on_event(event);
+/// Emits a portfolio-level (untagged) event into the shared observer, if
+/// one is attached.
+pub(crate) fn emit_shared(observer: &Option<SharedObserver>, event: &SolveEvent) {
+    if let Some(shared) = observer {
+        shared.lock().unwrap().on_event(event);
+    }
 }
 
 /// One buffered proof operation — the `Send`-able form of a worker's DRAT
@@ -88,119 +97,154 @@ pub(crate) struct WorkerResult {
     pub(crate) proof_ops: Vec<ProofOp>,
 }
 
-/// Assembles a worker solver over the shared formula.
-///
-/// `config` is the fully diversified per-worker configuration; `sharing`
-/// carries the LBD export cap and the pool; `cancel` (when given) is polled
-/// through the solver's `on_terminate` hook, so a raised flag stops the
-/// worker within one terminate-poll interval (~1024 conflicts);
-/// `record_proof` attaches a private [`ProofBuffer`] whose handle is
-/// returned alongside; `observer` (when given) receives the worker's
-/// telemetry events tagged with its id.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_worker(
-    id: usize,
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
-    config: SolverConfig,
-    sharing: Option<(u32, Arc<ClausePool>)>,
-    cancel: Option<Arc<AtomicBool>>,
-    observer: Option<SharedObserver>,
-    record_proof: bool,
-) -> (Solver, Option<Rc<RefCell<ProofBuffer>>>) {
-    debug_assert!(
-        !(record_proof && sharing.is_some()),
-        "proof recording with sharing on would be unsound"
-    );
-    let mut builder = SolverBuilder::with_config(config).reserve_vars(num_vars);
-    for clause in clauses {
-        builder = builder.clause(clause.iter().copied());
-    }
-    if let Some(flag) = cancel {
-        builder = builder.on_terminate(move || flag.load(Ordering::Relaxed));
-    }
-    if let Some((max_lbd, pool)) = sharing {
-        let export_pool = Arc::clone(&pool);
-        builder = builder.share_export(max_lbd, move |lits, lbd| {
-            export_pool.publish(id, lits, lbd);
-        });
-        builder = builder.share_import(move |buf| {
-            pool.collect(id, max_lbd, buf);
-        });
-    }
-    if let Some(shared) = observer {
-        builder = builder.on_event(Forward { worker: id, shared });
-    }
-    let mut tap = None;
-    if record_proof {
-        let buffer = Rc::new(RefCell::new(ProofBuffer::default()));
-        builder = builder.proof(Rc::clone(&buffer));
-        tap = Some(buffer);
-    }
-    (builder.build(), tap)
+/// What every worker of one solve call shares. Plain `Sync` data, so the
+/// threaded schedule hands each thread a reference.
+pub(crate) struct Race<'a> {
+    /// Variables of the formula snapshot.
+    pub(crate) num_vars: usize,
+    /// The formula snapshot every worker loads.
+    pub(crate) clauses: &'a [Vec<Lit>],
+    /// The call's assumptions, staged before every step.
+    pub(crate) assumptions: &'a [Lit],
+    /// The LBD export cap and the share pool, when sharing is on.
+    pub(crate) sharing: Option<(u32, Arc<ClausePool>)>,
+    /// Raised by the winner; every worker polls it through its terminate
+    /// hook, so a loser stops within one poll interval (~1024 conflicts).
+    pub(crate) cancel: Arc<AtomicBool>,
+    /// The worker that first answered definitively.
+    pub(crate) winner: Mutex<Option<usize>>,
+    /// Receives the workers' events, tagged with their ids.
+    pub(crate) observer: Option<SharedObserver>,
+    /// Attach a private [`ProofBuffer`] to every worker.
+    pub(crate) record_proof: bool,
+    /// Run every worker with paranoid in-search self-audits.
+    pub(crate) paranoid: bool,
 }
 
-/// Runs one worker to completion (or cancellation) on its own thread:
-/// build, stage the assumptions, solve once under `budget`, and package the
-/// outcome as plain `Send` data.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_worker(
+/// One worker of a [`Race`].
+pub(crate) struct Worker<'r> {
     id: usize,
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
-    assumptions: &[Lit],
-    config: SolverConfig,
-    sharing: Option<(u32, Arc<ClausePool>)>,
-    cancel: Arc<AtomicBool>,
-    observer: Option<SharedObserver>,
-    record_proof: bool,
-) -> WorkerResult {
-    let (mut solver, tap) = build_worker(
-        id,
-        num_vars,
-        clauses,
-        config,
-        sharing,
-        Some(cancel),
-        observer.clone(),
-        record_proof,
-    );
-    for &a in assumptions {
-        solver.assume(a);
-    }
-    if let Some(shared) = &observer {
-        emit_shared(shared, &SolveEvent::WorkerStart { worker: id });
-    }
-    let status = solver.solve();
-    if let Some(shared) = &observer {
-        emit_shared(
-            shared,
-            &SolveEvent::WorkerDone {
+    race: &'r Race<'r>,
+    solver: Solver,
+    tap: Option<Rc<RefCell<ProofBuffer>>>,
+    /// How the last step ended (`None` before the first).
+    status: Option<SolveStatus>,
+}
+
+impl<'r> Worker<'r> {
+    /// Assembles worker `id` over the race's formula and emits
+    /// `WorkerStart`. The portfolio simplified the formula once already, so
+    /// the worker runs with simplification off.
+    pub(crate) fn build(id: usize, race: &'r Race<'r>) -> Self {
+        debug_assert!(
+            !(race.record_proof && race.sharing.is_some()),
+            "proof recording with sharing on would be unsound"
+        );
+        let config = SolverConfig::portfolio_worker(id)
+            .with_paranoid(race.paranoid)
+            .with_simplify(SimplifyConfig::off());
+        let mut builder = SolverBuilder::with_config(config).reserve_vars(race.num_vars);
+        for clause in race.clauses {
+            builder = builder.clause(clause.iter().copied());
+        }
+        let cancel = Arc::clone(&race.cancel);
+        builder = builder.on_terminate(move || cancel.load(Ordering::Relaxed));
+        if let Some((max_lbd, pool)) = &race.sharing {
+            let (max_lbd, export_pool, pool) = (*max_lbd, Arc::clone(pool), Arc::clone(pool));
+            builder = builder.share_export(max_lbd, move |lits, lbd| {
+                export_pool.publish(id, lits, lbd);
+            });
+            builder = builder.share_import(move |buf| {
+                pool.collect(id, max_lbd, buf);
+            });
+        }
+        if let Some(shared) = &race.observer {
+            builder = builder.on_event(Forward {
                 worker: id,
+                shared: Arc::clone(shared),
+            });
+        }
+        let tap = race
+            .record_proof
+            .then(|| Rc::new(RefCell::new(ProofBuffer::default())));
+        if let Some(buffer) = &tap {
+            builder = builder.proof(Rc::clone(buffer));
+        }
+        emit_shared(&race.observer, &SolveEvent::WorkerStart { worker: id });
+        Worker {
+            id,
+            race,
+            solver: builder.build(),
+            tap,
+            status: None,
+        }
+    }
+
+    /// Conflicts the worker has spent so far.
+    pub(crate) fn conflicts(&self) -> u64 {
+        self.solver.stats().conflicts
+    }
+
+    /// Stages the race's assumptions and solves under `allowance`. A
+    /// definitive answer claims the win if no other worker has, raising
+    /// the cancel flag; returns whether the answer was definitive.
+    pub(crate) fn step(&mut self, allowance: Budget) -> bool {
+        self.solver.set_budget(allowance);
+        for &a in self.race.assumptions {
+            self.solver.assume(a);
+        }
+        let status = self.solver.solve();
+        let definitive = !status.is_unknown();
+        self.status = Some(status);
+        if definitive {
+            let mut winner = self.race.winner.lock().unwrap();
+            if winner.is_none() {
+                *winner = Some(self.id);
+                self.race.cancel.store(true, Ordering::SeqCst);
+            }
+        }
+        definitive
+    }
+
+    /// Records a stop the schedule decided without stepping the worker.
+    pub(crate) fn stop(&mut self, reason: StopReason) {
+        self.status = Some(SolveStatus::Unknown(reason));
+    }
+
+    /// Packages the outcome as plain `Send` data and emits `WorkerDone`. A
+    /// worker the schedule never stepped reports the cooperative-stop
+    /// reason, like a cancelled thread.
+    pub(crate) fn finish(self) -> WorkerResult {
+        let status = self
+            .status
+            .unwrap_or(SolveStatus::Unknown(StopReason::Callback));
+        emit_shared(
+            &self.race.observer,
+            &SolveEvent::WorkerDone {
+                worker: self.id,
                 verdict: SolveVerdict::from(&status),
             },
         );
-    }
-    let failed = solver.failed_assumptions().to_vec();
-    let stats = solver.stats().clone();
-    drop(solver); // releases the solver's clone of the proof tap
-    let proof_ops = tap
-        .and_then(|t| Rc::try_unwrap(t).ok())
-        .map(|cell| cell.into_inner().ops)
-        .unwrap_or_default();
-    WorkerResult {
-        status,
-        failed,
-        stats,
-        proof_ops,
+        let failed = self.solver.failed_assumptions().to_vec();
+        let stats = self.solver.stats().clone();
+        drop(self.solver); // releases the solver's clone of the proof tap
+        let proof_ops = self
+            .tap
+            .and_then(|t| Rc::try_unwrap(t).ok())
+            .map(|cell| cell.into_inner().ops)
+            .unwrap_or_default();
+        WorkerResult {
+            status,
+            failed,
+            stats,
+            proof_ops,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Budget;
-    use crate::search::StopReason;
 
     /// hole(n): n+1 pigeons in n holes — small but exponentially hard, so a
     /// worker is reliably mid-search when the flag rises.
@@ -220,21 +264,28 @@ mod tests {
         clauses
     }
 
+    /// Runs worker 0 alone over hole(n) for one unlimited step.
+    fn run_alone(n: usize, cancel: Arc<AtomicBool>) -> WorkerResult {
+        let clauses = pigeonhole(n);
+        let race = Race {
+            num_vars: (n + 1) * n,
+            clauses: &clauses,
+            assumptions: &[],
+            sharing: None,
+            cancel,
+            winner: Mutex::new(None),
+            observer: None,
+            record_proof: false,
+            paranoid: false,
+        };
+        let mut worker = Worker::build(0, &race);
+        worker.step(Budget::unlimited());
+        worker.finish()
+    }
+
     #[test]
     fn pre_raised_cancel_flag_stops_at_solve_entry() {
-        let clauses = pigeonhole(8);
-        let cancel = Arc::new(AtomicBool::new(true));
-        let result = run_worker(
-            0,
-            9 * 8,
-            &clauses,
-            &[],
-            SolverConfig::portfolio_worker(0).with_budget(Budget::unlimited()),
-            None,
-            cancel,
-            None,
-            false,
-        );
+        let result = run_alone(8, Arc::new(AtomicBool::new(true)));
         assert_eq!(
             result.status,
             SolveStatus::Unknown(StopReason::Callback),
@@ -248,24 +299,13 @@ mod tests {
         // hole(10) takes far longer than the flag-raising thread's delay;
         // the terminate poll fires at restart boundaries and every 1024
         // conflicts, so the worker stops soon after the flag rises.
-        let clauses = pigeonhole(10);
         let cancel = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&cancel);
         let raiser = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(30));
             flag.store(true, Ordering::SeqCst);
         });
-        let result = run_worker(
-            0,
-            11 * 10,
-            &clauses,
-            &[],
-            SolverConfig::portfolio_worker(0).with_budget(Budget::unlimited()),
-            None,
-            cancel,
-            None,
-            false,
-        );
+        let result = run_alone(10, cancel);
         raiser.join().unwrap();
         assert_eq!(
             result.status,

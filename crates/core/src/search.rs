@@ -181,6 +181,29 @@ impl Solver {
         status
     }
 
+    /// Solve entry without the search, for the portfolio's formula store:
+    /// stages the pending assumptions (so the simplifier freezes their
+    /// variables), propagates level 0 and runs the simplifier if it is due.
+    /// Returns the resulting formula for the workers to load: the level-0
+    /// units, the live original clauses, and the empty clause once refuted.
+    pub(crate) fn simplified_clauses(&mut self, proof: &mut dyn ProofSink) -> Vec<Vec<Lit>> {
+        self.begin_solve();
+        if self.ok && self.propagate().is_some() {
+            self.ok = false;
+        }
+        self.simplify_formula(proof);
+        let mut clauses: Vec<Vec<Lit>> = self.trail.iter().map(|&l| vec![l]).collect();
+        for cref in self.db.iter_live() {
+            if !self.db.is_learnt(cref) {
+                clauses.push(self.db.lits(cref).to_vec());
+            }
+        }
+        if !self.ok {
+            clauses.push(Vec::new());
+        }
+        clauses
+    }
+
     /// The CDCL search proper: entry checks, import poll, then the
     /// propagate/analyze/decide loop until an answer or a stop.
     fn search(&mut self, proof: &mut dyn ProofSink) -> SolveStatus {

@@ -1,101 +1,166 @@
 //! Search statistics, including the skin-effect histogram of paper §6.
+//!
+//! Every scalar counter is one row of the `counters!` table below: its
+//! doc string, name, type and merge kind. The table generates the
+//! [`Stats`] fields, [`Stats::merge`] and the counter list the JSON
+//! snapshot ([`crate::telemetry::stats_to_json`]) is written from, so a new
+//! counter is one new row.
 
 use berkmin_cnf::Var;
 
-/// Counters collected during a solve run.
-///
-/// Everything the paper's tables report is derivable from this structure:
-/// decisions and runtimes (Table 8), database-size ratios (Table 9), and the
-/// skin-effect distribution `f(r)` (Table 3).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Stats {
+/// How [`Stats::merge`] folds a counter of another block into this one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Merge {
+    /// Work: the two values are added.
+    Sum,
+    /// A peak: the larger value wins.
+    Max,
+    /// A fact about the formula or the calls, which every portfolio worker
+    /// sees a copy of. Summing would count it once per worker, so the merge
+    /// leaves it alone and the aggregator sets it.
+    Formula,
+}
+
+impl Merge {
+    /// Folds `b` into `a` by this kind.
+    fn apply<T: Ord + std::ops::Add<Output = T>>(self, a: T, b: T) -> T {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Max => a.max(b),
+            Merge::Formula => a,
+        }
+    }
+}
+
+/// The counter table: `doc, name: type = merge kind;` per row.
+macro_rules! counters {
+    ($($(#[$doc:meta])+ $name:ident: $ty:ty = $kind:ident;)+) => {
+        /// Counters collected during a solve run.
+        ///
+        /// Everything the paper's tables report is derivable from this
+        /// structure: decisions and runtimes (Table 8), database-size ratios
+        /// (Table 9), and the skin-effect distribution `f(r)` (Table 3).
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct Stats {
+            $($(#[$doc])+ pub $name: $ty,)+
+            /// Skin-effect histogram: `top_distance_hist[r]` is `f(r)`, the
+            /// number of times the branching variable was chosen from the
+            /// conflict clause at distance `r` from the top of the stack
+            /// (paper §6, Table 3).
+            pub top_distance_hist: Vec<u64>,
+            /// Optional per-decision log of the chosen variable, recorded
+            /// when [`crate::SolverConfig::record_decisions`] is set (used by
+            /// the Fig. 1 cone-switching experiment).
+            pub decision_log: Vec<Var>,
+        }
+
+        impl Stats {
+            /// Every scalar counter's name and merge kind, in table order.
+            pub(crate) const COUNTERS: &'static [(&'static str, Merge)] =
+                &[$((stringify!($name), Merge::$kind)),+];
+
+            /// Every scalar counter's name and value, in table order.
+            pub(crate) fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), u64::from(self.$name))),+]
+            }
+
+            /// Sets the scalar counter called `name`; `None` when there is
+            /// no such counter or `value` does not fit its type.
+            pub(crate) fn set_counter(&mut self, name: &str, value: u64) -> Option<()> {
+                match name {
+                    $(stringify!($name) => self.$name = value.try_into().ok()?,)+
+                    _ => return None,
+                }
+                Some(())
+            }
+
+            fn merge_counters(&mut self, other: &Stats) {
+                $(self.$name = Merge::$kind.apply(self.$name, other.$name);)+
+            }
+        }
+    };
+}
+
+counters! {
     /// Number of branching decisions made.
-    pub decisions: u64,
+    decisions: u64 = Sum;
     /// Number of conflicts encountered.
-    pub conflicts: u64,
+    conflicts: u64 = Sum;
     /// Number of literals propagated by BCP.
-    pub propagations: u64,
+    propagations: u64 = Sum;
     /// Number of restarts performed (paper §1: search-tree abandonments).
-    pub restarts: u64,
+    restarts: u64 = Sum;
     /// Number of clause-database reductions performed (paper §8).
-    pub reductions: u64,
+    reductions: u64 = Sum;
     /// Total conflict clauses ever deduced (including later-deleted ones).
-    pub learnt_total: u64,
+    learnt_total: u64 = Sum;
     /// Conflict clauses deduced as unit clauses (asserted at level 0).
-    pub learnt_units: u64,
+    learnt_units: u64 = Sum;
     /// Total literals across all deduced conflict clauses.
-    pub learnt_lits_total: u64,
+    learnt_lits_total: u64 = Sum;
     /// Conflict clauses deleted by database management.
-    pub deleted_clauses: u64,
+    deleted_clauses: u64 = Sum;
     /// Compacting clause-arena garbage collections performed (one per §8
     /// reduction).
-    pub gc_runs: u64,
+    gc_runs: u64 = Sum;
     /// Total arena words reclaimed by the compacting collector.
-    pub gc_words_reclaimed: u64,
+    gc_words_reclaimed: u64 = Sum;
     /// Maximum number of live clauses (original + learnt) ever in memory —
     /// the "Largest CNF size" column of Table 9.
-    pub max_live_clauses: u64,
+    max_live_clauses: u64 = Max;
     /// Number of clauses in the initial formula (Table 9 denominator).
-    pub initial_clauses: u64,
+    initial_clauses: u64 = Formula;
     /// Decisions taken from the current top conflict clause (paper §5).
-    pub decisions_from_top_clause: u64,
+    decisions_from_top_clause: u64 = Sum;
     /// Decisions taken on the globally most active free variable, i.e. when
     /// every conflict clause was satisfied (paper §5).
-    pub decisions_from_free_var: u64,
-    /// Skin-effect histogram: `top_distance_hist[r]` is `f(r)`, the number
-    /// of times the branching variable was chosen from the conflict clause
-    /// at distance `r` from the top of the stack (paper §6, Table 3).
-    pub top_distance_hist: Vec<u64>,
-    /// Optional per-decision log of the chosen variable, recorded when
-    /// [`crate::SolverConfig::record_decisions`] is set (used by the Fig. 1
-    /// cone-switching experiment).
-    pub decision_log: Vec<Var>,
+    decisions_from_free_var: u64 = Sum;
     /// Number of clauses inspected as "responsible for a conflict" during
     /// conflict analysis (paper §4's sensitivity set).
-    pub responsible_clauses: u64,
+    responsible_clauses: u64 = Sum;
     /// Number of solve calls made on this solver (incremental use: the
     /// counters above accumulate across calls).
-    pub solve_calls: u64,
+    solve_calls: u64 = Formula;
     /// Number of solve calls answered UNSAT by final-conflict analysis of a
     /// falsified assumption (the formula itself was not refuted).
-    pub assumption_conflicts: u64,
+    assumption_conflicts: u64 = Sum;
     /// Sum of the LBD (literal block distance, "glue") of every deduced
     /// conflict clause: the number of distinct decision levels among its
     /// literals at deduction time. Low-LBD clauses are the ones worth
     /// sharing between portfolio workers; `lbd_sum / learnt_total` is the
     /// average glue ([`Stats::avg_lbd`]).
-    pub lbd_sum: u64,
+    lbd_sum: u64 = Sum;
     /// Largest LBD ever observed on a deduced conflict clause.
-    pub lbd_max: u32,
+    lbd_max: u32 = Max;
     /// Clauses handed to the share-export callback (portfolio sharing:
     /// length ≤ 2 or LBD within the export cap).
-    pub clauses_exported: u64,
+    clauses_exported: u64 = Sum;
     /// Clauses integrated from the share-import source at restart
     /// boundaries (after the per-importer filter and level-0 simplification
     /// dropped the rest).
-    pub clauses_imported: u64,
+    clauses_imported: u64 = Sum;
     /// Entries the portfolio's bounded share pool evicted past its
     /// capacity (each eviction is a shared clause some consumer may never
     /// see — best-effort sharing, never a soundness issue).
-    pub pool_evicted: u64,
+    pool_evicted: u64 = Sum;
     /// Pool entries that were evicted before some consumer's cursor
     /// reached them, summed over consumers — an upper bound on the import
     /// candidates slow consumers lost to eviction (own publications and
     /// clauses the LBD filter would have dropped are included; their fate
     /// is unknowable once evicted).
-    pub pool_missed: u64,
+    pool_missed: u64 = Sum;
     /// Clauses removed by the preprocessor's backward-subsumption pass (a
     /// live clause was a superset of another).
-    pub clauses_subsumed: u64,
+    clauses_subsumed: u64 = Sum;
     /// Clauses strengthened by the preprocessor's self-subsuming
     /// resolution pass (one literal dropped per count).
-    pub clauses_strengthened: u64,
+    clauses_strengthened: u64 = Sum;
     /// Variables dissolved by bounded variable elimination (their models
     /// are recovered through the reconstruction stack).
-    pub vars_eliminated: u64,
+    vars_eliminated: u64 = Sum;
     /// Resolvent clauses the preprocessor added while eliminating
     /// variables (tautological and satisfied resolvents are not counted).
-    pub elim_resolvents: u64,
+    elim_resolvents: u64 = Sum;
 }
 
 impl Stats {
@@ -154,32 +219,11 @@ impl Stats {
     }
 
     /// Folds another statistics block into this one — how the portfolio
-    /// engine aggregates its per-worker counters into one view.
-    ///
-    /// Additive counters are summed, peak counters (`max_live_clauses`,
-    /// `lbd_max`) take the maximum, the skin-effect histogram is merged
-    /// element-wise, and `other`'s decision log is appended.
-    ///
-    /// The *formula-level* counters `initial_clauses` and `solve_calls`
-    /// are **not** merged: every worker sees a copy of the same formula
-    /// and runs its own solve calls, so summing them would count the
-    /// formula once per worker. An aggregator keeps (or sets) its own
-    /// values for those two fields.
+    /// engine aggregates its per-worker counters into one view. Each
+    /// counter merges by its kind in the table; the skin-effect histogram
+    /// is summed element-wise and `other`'s decision log is appended.
     pub fn merge(&mut self, other: &Stats) {
-        self.decisions += other.decisions;
-        self.conflicts += other.conflicts;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.reductions += other.reductions;
-        self.learnt_total += other.learnt_total;
-        self.learnt_units += other.learnt_units;
-        self.learnt_lits_total += other.learnt_lits_total;
-        self.deleted_clauses += other.deleted_clauses;
-        self.gc_runs += other.gc_runs;
-        self.gc_words_reclaimed += other.gc_words_reclaimed;
-        self.max_live_clauses = self.max_live_clauses.max(other.max_live_clauses);
-        self.decisions_from_top_clause += other.decisions_from_top_clause;
-        self.decisions_from_free_var += other.decisions_from_free_var;
+        self.merge_counters(other);
         if self.top_distance_hist.len() < other.top_distance_hist.len() {
             self.top_distance_hist
                 .resize(other.top_distance_hist.len(), 0);
@@ -192,18 +236,6 @@ impl Stats {
             *slot += count;
         }
         self.decision_log.extend_from_slice(&other.decision_log);
-        self.responsible_clauses += other.responsible_clauses;
-        self.assumption_conflicts += other.assumption_conflicts;
-        self.lbd_sum += other.lbd_sum;
-        self.lbd_max = self.lbd_max.max(other.lbd_max);
-        self.clauses_exported += other.clauses_exported;
-        self.clauses_imported += other.clauses_imported;
-        self.pool_evicted += other.pool_evicted;
-        self.pool_missed += other.pool_missed;
-        self.clauses_subsumed += other.clauses_subsumed;
-        self.clauses_strengthened += other.clauses_strengthened;
-        self.vars_eliminated += other.vars_eliminated;
-        self.elim_resolvents += other.elim_resolvents;
     }
 }
 
@@ -286,6 +318,21 @@ mod tests {
         assert_eq!(a.initial_clauses, 100);
         assert_eq!(a.solve_calls, 1);
         assert_eq!(a.conflicts, 30);
+    }
+
+    #[test]
+    fn merge_follows_each_rows_kind() {
+        let mut a = Stats::new();
+        for (i, &(name, _)) in Stats::COUNTERS.iter().enumerate() {
+            a.set_counter(name, i as u64 + 1).unwrap();
+        }
+        let before = a.counters();
+        a.merge(&a.clone());
+        let rows = Stats::COUNTERS.iter().zip(before).zip(a.counters());
+        for ((&(name, kind), (_, old)), (_, new)) in rows {
+            let want = if kind == Merge::Sum { 2 * old } else { old };
+            assert_eq!(new, want, "{name} merges as {kind:?}");
+        }
     }
 
     #[test]

@@ -280,13 +280,13 @@ impl StatsSnapshot {
     /// The snapshot as a JSON value: `{"verdict": …, "seconds": …,
     /// "stats": {…}}` with the stats object per [`stats_to_json`].
     pub fn to_json(&self) -> json::Value {
-        json::Value::Object(vec![
+        json::Value::object([
             (
-                "verdict".to_string(),
+                "verdict",
                 json::Value::Str(self.verdict.as_str().to_string()),
             ),
-            ("seconds".to_string(), json::Value::Num(self.seconds)),
-            ("stats".to_string(), stats_to_json(&self.stats)),
+            ("seconds", json::Value::Num(self.seconds)),
+            ("stats", stats_to_json(&self.stats)),
         ])
     }
 
@@ -321,110 +321,33 @@ impl StatsSnapshot {
     }
 }
 
-/// Serializes every [`Stats`] counter as a JSON object. The skin-effect
-/// histogram becomes an array; the decision log (a debugging artifact of
+/// Serializes every [`Stats`] counter as a JSON object: the scalar
+/// counters in table order, then the skin-effect histogram as an array.
+/// The decision log (a debugging artifact of
 /// [`SolverConfig::record_decisions`](crate::SolverConfig::record_decisions),
 /// empty in normal runs) is **not** serialized.
 pub fn stats_to_json(stats: &Stats) -> json::Value {
     use json::Value::{Array, Int};
     let hist = Array(stats.top_distance_hist.iter().map(|&n| Int(n)).collect());
-    json::Value::Object(vec![
-        ("decisions".to_string(), Int(stats.decisions)),
-        ("conflicts".to_string(), Int(stats.conflicts)),
-        ("propagations".to_string(), Int(stats.propagations)),
-        ("restarts".to_string(), Int(stats.restarts)),
-        ("reductions".to_string(), Int(stats.reductions)),
-        ("learnt_total".to_string(), Int(stats.learnt_total)),
-        ("learnt_units".to_string(), Int(stats.learnt_units)),
-        (
-            "learnt_lits_total".to_string(),
-            Int(stats.learnt_lits_total),
-        ),
-        ("deleted_clauses".to_string(), Int(stats.deleted_clauses)),
-        ("gc_runs".to_string(), Int(stats.gc_runs)),
-        (
-            "gc_words_reclaimed".to_string(),
-            Int(stats.gc_words_reclaimed),
-        ),
-        ("max_live_clauses".to_string(), Int(stats.max_live_clauses)),
-        ("initial_clauses".to_string(), Int(stats.initial_clauses)),
-        (
-            "decisions_from_top_clause".to_string(),
-            Int(stats.decisions_from_top_clause),
-        ),
-        (
-            "decisions_from_free_var".to_string(),
-            Int(stats.decisions_from_free_var),
-        ),
-        ("top_distance_hist".to_string(), hist),
-        (
-            "responsible_clauses".to_string(),
-            Int(stats.responsible_clauses),
-        ),
-        ("solve_calls".to_string(), Int(stats.solve_calls)),
-        (
-            "assumption_conflicts".to_string(),
-            Int(stats.assumption_conflicts),
-        ),
-        ("lbd_sum".to_string(), Int(stats.lbd_sum)),
-        ("lbd_max".to_string(), Int(stats.lbd_max as u64)),
-        ("clauses_exported".to_string(), Int(stats.clauses_exported)),
-        ("clauses_imported".to_string(), Int(stats.clauses_imported)),
-        ("pool_evicted".to_string(), Int(stats.pool_evicted)),
-        ("pool_missed".to_string(), Int(stats.pool_missed)),
-        ("clauses_subsumed".to_string(), Int(stats.clauses_subsumed)),
-        (
-            "clauses_strengthened".to_string(),
-            Int(stats.clauses_strengthened),
-        ),
-        ("vars_eliminated".to_string(), Int(stats.vars_eliminated)),
-        ("elim_resolvents".to_string(), Int(stats.elim_resolvents)),
-    ])
+    let counters = stats.counters().into_iter().map(|(name, n)| (name, Int(n)));
+    json::Value::object(counters.chain([("top_distance_hist", hist)]))
 }
 
 /// Parses a [`stats_to_json`] object back into a [`Stats`] block (the
 /// decision log, which is not serialized, comes back empty). Returns
 /// `None` on any missing or mistyped counter.
 pub fn stats_from_json(value: &json::Value) -> Option<Stats> {
-    let int = |key: &str| value.get(key).and_then(|v| v.as_u64());
-    let hist = value
+    let mut stats = Stats::new();
+    for &(name, _) in Stats::COUNTERS {
+        stats.set_counter(name, value.get(name)?.as_u64()?)?;
+    }
+    stats.top_distance_hist = value
         .get("top_distance_hist")?
         .as_array()?
         .iter()
         .map(|v| v.as_u64())
         .collect::<Option<Vec<u64>>>()?;
-    Some(Stats {
-        decisions: int("decisions")?,
-        conflicts: int("conflicts")?,
-        propagations: int("propagations")?,
-        restarts: int("restarts")?,
-        reductions: int("reductions")?,
-        learnt_total: int("learnt_total")?,
-        learnt_units: int("learnt_units")?,
-        learnt_lits_total: int("learnt_lits_total")?,
-        deleted_clauses: int("deleted_clauses")?,
-        gc_runs: int("gc_runs")?,
-        gc_words_reclaimed: int("gc_words_reclaimed")?,
-        max_live_clauses: int("max_live_clauses")?,
-        initial_clauses: int("initial_clauses")?,
-        decisions_from_top_clause: int("decisions_from_top_clause")?,
-        decisions_from_free_var: int("decisions_from_free_var")?,
-        top_distance_hist: hist,
-        decision_log: Vec::new(),
-        responsible_clauses: int("responsible_clauses")?,
-        solve_calls: int("solve_calls")?,
-        assumption_conflicts: int("assumption_conflicts")?,
-        lbd_sum: int("lbd_sum")?,
-        lbd_max: int("lbd_max")?.try_into().ok()?,
-        clauses_exported: int("clauses_exported")?,
-        clauses_imported: int("clauses_imported")?,
-        pool_evicted: int("pool_evicted")?,
-        pool_missed: int("pool_missed")?,
-        clauses_subsumed: int("clauses_subsumed")?,
-        clauses_strengthened: int("clauses_strengthened")?,
-        vars_eliminated: int("vars_eliminated")?,
-        elim_resolvents: int("elim_resolvents")?,
-    })
+    Some(stats)
 }
 
 /// A minimal JSON value model, renderer and parser.
@@ -458,6 +381,16 @@ pub mod json {
     }
 
     impl Value {
+        /// An object from `(key, value)` pairs, in order.
+        pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+            Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
+
         /// Object field lookup (`None` for non-objects / missing keys).
         pub fn get(&self, key: &str) -> Option<&Value> {
             match self {
@@ -842,6 +775,50 @@ mod tests {
         };
         let parsed = stats_from_json(&stats_to_json(&stats)).unwrap();
         assert_eq!(parsed, stats);
+    }
+
+    #[test]
+    fn stats_json_key_set_is_pinned() {
+        // The `--stats-json` schema: adding, renaming or dropping a counter
+        // row must be a deliberate change to this list.
+        let mut want = [
+            "decisions",
+            "conflicts",
+            "propagations",
+            "restarts",
+            "reductions",
+            "learnt_total",
+            "learnt_units",
+            "learnt_lits_total",
+            "deleted_clauses",
+            "gc_runs",
+            "gc_words_reclaimed",
+            "max_live_clauses",
+            "initial_clauses",
+            "decisions_from_top_clause",
+            "decisions_from_free_var",
+            "top_distance_hist",
+            "responsible_clauses",
+            "solve_calls",
+            "assumption_conflicts",
+            "lbd_sum",
+            "lbd_max",
+            "clauses_exported",
+            "clauses_imported",
+            "pool_evicted",
+            "pool_missed",
+            "clauses_subsumed",
+            "clauses_strengthened",
+            "vars_eliminated",
+            "elim_resolvents",
+        ];
+        let Value::Object(fields) = stats_to_json(&Stats::new()) else {
+            unreachable!()
+        };
+        let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(keys, want);
     }
 
     #[test]

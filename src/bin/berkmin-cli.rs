@@ -87,7 +87,7 @@ use std::rc::Rc;
 use berkmin::telemetry::json::Value as JsonValue;
 use berkmin::{
     Budget, PortfolioConfig, PortfolioEngine, SatEngine, SimplifyConfig, SolveEvent, SolveStatus,
-    SolveVerdict, SolverBuilder, SolverConfig, Stats, StatsSnapshot, WorkerOutcome,
+    SolveVerdict, SolverBuilder, SolverConfig, Stats, StatsSnapshot,
 };
 use berkmin_circuit::arith::enabled_counter;
 use berkmin_circuit::bmc::{scratch_first_reaching_depth, BmcDriver, BmcOutcome};
@@ -334,14 +334,14 @@ fn workers_line(portfolio: &PortfolioEngine) -> String {
     }
     line.push_str(&format!(" evicted {}", portfolio.stats().pool_evicted));
     for r in portfolio.reports() {
-        let outcome = match r.outcome {
-            WorkerOutcome::Sat => "sat",
-            WorkerOutcome::Unsat => "unsat",
-            WorkerOutcome::Stopped(_) => "stopped",
-        };
         line.push_str(&format!(
-            "  w{} {outcome} conflicts {} exported {} imported {} missed {}",
-            r.id, r.conflicts, r.exported, r.imported, r.missed
+            "  w{} {} conflicts {} exported {} imported {} missed {}",
+            r.id,
+            r.outcome.as_str(),
+            r.conflicts,
+            r.exported,
+            r.imported,
+            r.missed
         ));
     }
     line
@@ -441,20 +441,15 @@ fn workers_json(portfolio: &PortfolioEngine) -> JsonValue {
             .reports()
             .iter()
             .map(|r| {
-                let outcome = match r.outcome {
-                    WorkerOutcome::Sat => "sat",
-                    WorkerOutcome::Unsat => "unsat",
-                    WorkerOutcome::Stopped(_) => "stopped",
-                };
-                JsonValue::Object(vec![
-                    ("id".to_string(), JsonValue::Int(r.id as u64)),
-                    ("outcome".to_string(), JsonValue::Str(outcome.to_string())),
-                    ("winner".to_string(), JsonValue::Bool(r.winner)),
-                    ("conflicts".to_string(), JsonValue::Int(r.conflicts)),
-                    ("decisions".to_string(), JsonValue::Int(r.decisions)),
-                    ("exported".to_string(), JsonValue::Int(r.exported)),
-                    ("imported".to_string(), JsonValue::Int(r.imported)),
-                    ("missed".to_string(), JsonValue::Int(r.missed)),
+                JsonValue::object([
+                    ("id", JsonValue::Int(r.id as u64)),
+                    ("outcome", JsonValue::Str(r.outcome.as_str().to_string())),
+                    ("winner", JsonValue::Bool(r.winner)),
+                    ("conflicts", JsonValue::Int(r.conflicts)),
+                    ("decisions", JsonValue::Int(r.decisions)),
+                    ("exported", JsonValue::Int(r.exported)),
+                    ("imported", JsonValue::Int(r.imported)),
+                    ("missed", JsonValue::Int(r.missed)),
                 ])
             })
             .collect(),
@@ -720,10 +715,10 @@ fn run_bmc(argv: &[String]) -> ExitCode {
             depths
                 .iter()
                 .map(|&(depth, result, conflicts)| {
-                    JsonValue::Object(vec![
-                        ("depth".to_string(), JsonValue::Int(depth as u64)),
-                        ("result".to_string(), JsonValue::Str(result.to_string())),
-                        ("conflicts".to_string(), JsonValue::Int(conflicts)),
+                    JsonValue::object([
+                        ("depth", JsonValue::Int(depth as u64)),
+                        ("result", JsonValue::Str(result.to_string())),
+                        ("conflicts", JsonValue::Int(conflicts)),
                     ])
                 })
                 .collect(),

@@ -113,6 +113,22 @@ fn ci_keeps_the_telemetry_smoke_step() {
              the --stats-json/-v surface would rot silently"
         );
     }
+    // The portfolio arm checks the counter table's merge kinds end to end:
+    // `solve_calls` is set once by the aggregator, `conflicts` is summed.
+    let portfolio_arm = ci
+        .split("--stats-json pstats.json")
+        .nth(1)
+        .expect("telemetry smoke step has a portfolio arm");
+    for required in [
+        r#"assert s["stats"]["solve_calls"] == 1"#,
+        r#"assert sum(w["conflicts"] for w in s["workers"]) == s["stats"]["conflicts"]"#,
+    ] {
+        assert!(
+            portfolio_arm.contains(required),
+            "CI workflow dropped `{required}` from the portfolio arm of the \
+             telemetry smoke step; a merge-kind regression would ship unnoticed"
+        );
+    }
 }
 
 #[test]
