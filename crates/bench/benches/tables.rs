@@ -1,7 +1,8 @@
 //! One representative solve per paper table's workload family, at a size
 //! criterion can sample repeatedly. These benches track end-to-end solver
 //! performance on each class so regressions show up per-family; the
-//! full-size tables are regenerated by the `tableN` binaries.
+//! full-size tables are regenerated by the `berkmin-bench` subcommands
+//! (`cargo run --release -p berkmin-bench -- table1`, or `-- all`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 

@@ -66,6 +66,17 @@ impl RunResult {
 /// wrong answer must never be reported.
 pub fn run_instance(inst: &BenchInstance, config: &SolverConfig, budget: Budget) -> RunResult {
     let mut engine = SolverBuilder::with_config(config.clone().with_budget(budget)).build_engine();
+    run_engine(inst, engine.as_mut())
+}
+
+/// Loads `inst` into a fresh engine and solves it — the measurement core
+/// every harness shares, generic over any [`SatEngine`]. Only the solve
+/// call is timed.
+///
+/// # Panics
+///
+/// Same verdict/model checks as [`run_instance`].
+pub fn run_engine(inst: &BenchInstance, engine: &mut dyn SatEngine) -> RunResult {
     // Feed the borrowed formula straight through the trait surface rather
     // than `SolverBuilder::cnf`, which would buffer a per-clause copy only
     // for `build()` to replay — this path runs 50× per sweep.
@@ -73,17 +84,6 @@ pub fn run_instance(inst: &BenchInstance, config: &SolverConfig, budget: Budget)
     for clause in &inst.cnf {
         engine.add_clause(clause.lits());
     }
-    run_engine(inst, engine.as_mut())
-}
-
-/// Runs `inst` on a pre-built engine already loaded with the instance's
-/// clauses — the measurement core every harness shares, generic over any
-/// [`SatEngine`].
-///
-/// # Panics
-///
-/// Same verdict/model checks as [`run_instance`].
-pub fn run_engine(inst: &BenchInstance, engine: &mut dyn SatEngine) -> RunResult {
     let start = Instant::now();
     let status = engine.solve();
     let time = start.elapsed();
@@ -149,28 +149,19 @@ impl ClassResult {
         self.runs.iter().map(|r| r.stats.conflicts).sum()
     }
 
-    /// Total decisions over all instances.
-    pub fn total_decisions(&self) -> u64 {
-        self.runs.iter().map(|r| r.stats.decisions).sum()
-    }
-
     /// Formats the paper's "time (aborted)" cell: `12.34` or `>12.34 (2)`.
     pub fn time_cell(&self) -> String {
-        let secs = self.total_time().as_secs_f64();
-        if self.aborted() > 0 {
-            format!(">{:.2} ({})", secs, self.aborted())
-        } else {
-            format!("{secs:.2}")
-        }
+        time_cell(self.total_time().as_secs_f64(), self.aborted())
     }
+}
 
-    /// Same formatting for the conflicts metric.
-    pub fn conflicts_cell(&self) -> String {
-        if self.aborted() > 0 {
-            format!(">{} ({})", self.total_conflicts(), self.aborted())
-        } else {
-            format!("{}", self.total_conflicts())
-        }
+/// The paper's "time (aborted)" cell: `12.34`, or `>12.34 (2)` when
+/// `aborted` runs hit their budget.
+pub(crate) fn time_cell(secs: f64, aborted: usize) -> String {
+    if aborted > 0 {
+        format!(">{secs:.2} ({aborted})")
+    } else {
+        format!("{secs:.2}")
     }
 }
 

@@ -1,6 +1,7 @@
 //! Plain-text table rendering in the paper's style.
 
 use std::fmt::Write as _;
+use std::io;
 
 /// A fixed-width text table with a title, matching the look of the paper's
 /// result tables.
@@ -70,9 +71,9 @@ impl TextTable {
         out
     }
 
-    /// Renders and prints to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
+    /// Renders the table into `out`, followed by a blank line.
+    pub fn write(&self, out: &mut dyn io::Write) -> io::Result<()> {
+        writeln!(out, "{}", self.render())
     }
 }
 

@@ -23,17 +23,6 @@ use crate::stats::Stats;
 /// huge fixed interval) would otherwise never hand control back.
 pub(crate) const TERMINATE_POLL_CONFLICTS: u64 = 1024;
 
-/// Per-solve-call baseline of the budgeted counters (plus restarts, which
-/// are not budgeted but are reported as a per-call delta in
-/// [`SolveEvent::SolveDone`](crate::telemetry::SolveEvent)).
-#[derive(Debug, Clone, Copy, Default)]
-struct BudgetBase {
-    conflicts: u64,
-    decisions: u64,
-    propagations: u64,
-    restarts: u64,
-}
-
 /// The batch of maintenance actions that fall due at one conflict —
 /// [`SearchLimits::on_conflict`]'s answer, consumed by the search loop in
 /// its fixed order (decays with the conflict handling, then the progress
@@ -58,11 +47,11 @@ pub(crate) struct DueActions {
 /// periodic-maintenance cadence for one solver.
 #[derive(Debug, Default)]
 pub(crate) struct SearchLimits {
-    /// Stats snapshot taken at solve entry: budgets are per-call, so each
-    /// check compares against the growth since this baseline rather than
-    /// the lifetime totals (which would make a second call inherit the
-    /// previous call's spend).
-    base: BudgetBase,
+    /// Counters at solve entry (no histogram or decision log): budgets are
+    /// per-call, so each check compares against the growth since this
+    /// baseline rather than the lifetime totals (which would make a second
+    /// call inherit the previous call's spend).
+    base: Stats,
     /// Conflicts since the last restart (or solve entry) — the restart
     /// policies' clock.
     conflicts_since_restart: u64,
@@ -82,12 +71,7 @@ impl SearchLimits {
     /// in from an earlier call.
     pub(crate) fn begin_call(&mut self, stats: &Stats) {
         self.conflicts_since_restart = 0;
-        self.base = BudgetBase {
-            conflicts: stats.conflicts,
-            decisions: stats.decisions,
-            propagations: stats.propagations,
-            restarts: stats.restarts,
-        };
+        self.base = stats.since(&Stats::default());
     }
 
     /// Registers one conflict and returns the batch of maintenance actions
@@ -133,40 +117,21 @@ impl SearchLimits {
         self.conflicts_since_restart = 0;
     }
 
-    /// Conflicts spent by the current solve call.
-    #[inline]
-    pub(crate) fn conflicts_spent(&self, stats: &Stats) -> u64 {
-        stats.conflicts - self.base.conflicts
-    }
-
-    /// Decisions spent by the current solve call.
-    #[inline]
-    pub(crate) fn decisions_spent(&self, stats: &Stats) -> u64 {
-        stats.decisions - self.base.decisions
-    }
-
-    /// Propagations spent by the current solve call.
-    #[inline]
-    pub(crate) fn propagations_spent(&self, stats: &Stats) -> u64 {
-        stats.propagations - self.base.propagations
-    }
-
-    /// Restarts performed by the current solve call.
-    #[inline]
-    pub(crate) fn restarts_spent(&self, stats: &Stats) -> u64 {
-        stats.restarts - self.base.restarts
+    /// The counters spent by the current solve call.
+    pub(crate) fn spent(&self, stats: &Stats) -> Stats {
+        stats.since(&self.base)
     }
 
     /// Whether the per-call decision budget is exhausted.
     #[inline]
     pub(crate) fn decision_budget_exhausted(&self, stats: &Stats, budget: &Budget) -> bool {
-        self.decisions_spent(stats) >= budget.max_decisions
+        stats.decisions - self.base.decisions >= budget.max_decisions
     }
 
     /// Whether the per-call propagation budget is exhausted.
     #[inline]
     pub(crate) fn propagation_budget_exhausted(&self, stats: &Stats, budget: &Budget) -> bool {
-        self.propagations_spent(stats) >= budget.max_propagations
+        stats.propagations - self.base.propagations >= budget.max_propagations
     }
 
     /// Whether preprocessing should run at this solve entry: always under
@@ -196,8 +161,8 @@ impl SearchLimits {
         } else {
             None
         };
-        let poll =
-            TERMINATE_POLL_CONFLICTS - self.conflicts_spent(stats) % TERMINATE_POLL_CONFLICTS;
+        let spent = stats.conflicts - self.base.conflicts;
+        let poll = TERMINATE_POLL_CONFLICTS - spent % TERMINATE_POLL_CONFLICTS;
         match (restart, decay) {
             (Some(r), Some(d)) => {
                 format!("restart in {r} conflicts, decay in {d}, terminate poll in {poll}")
@@ -246,9 +211,9 @@ mod tests {
         stats.decisions = 40;
         let mut limits = SearchLimits::new();
         limits.begin_call(&stats);
-        assert_eq!(limits.conflicts_spent(&stats), 0);
+        assert_eq!(limits.spent(&stats).conflicts, 0);
         stats.conflicts = 103;
-        assert_eq!(limits.conflicts_spent(&stats), 3);
+        assert_eq!(limits.spent(&stats).conflicts, 3);
         let budget = Budget {
             max_decisions: 5,
             ..Budget::unlimited()

@@ -445,12 +445,7 @@ impl SatEngine for PortfolioEngine {
                 assumptions: self.store.pending_assumptions.len(),
             },
         );
-        let base = (
-            self.stats.conflicts,
-            self.stats.decisions,
-            self.stats.propagations,
-            self.stats.restarts,
-        );
+        let base = self.stats.since(&Stats::default());
 
         // Simplify the formula once before diversifying. The store reports
         // its steps straight to the proof sink (ahead of any worker-derived
@@ -563,14 +558,15 @@ impl SatEngine for PortfolioEngine {
                 },
             );
         }
+        let spent = self.stats.since(&base);
         emit_shared(
             &shared,
             &SolveEvent::SolveDone {
                 verdict: SolveVerdict::from(&status),
-                conflicts: self.stats.conflicts - base.0,
-                decisions: self.stats.decisions - base.1,
-                propagations: self.stats.propagations - base.2,
-                restarts: self.stats.restarts - base.3,
+                conflicts: spent.conflicts,
+                decisions: spent.decisions,
+                propagations: spent.propagations,
+                restarts: spent.restarts,
             },
         );
         if let Some(arc) = shared {

@@ -44,6 +44,7 @@ use crate::clause_db::ClauseRef;
 use crate::config::ActivityIndex;
 use crate::proof::ProofSink;
 use crate::solver::Solver;
+use crate::stats::Stats;
 use crate::telemetry::SolveEvent;
 
 use occur::OccIndex;
@@ -119,12 +120,7 @@ impl Solver {
 
         let observing = self.has_observer();
         let clauses_before = self.db.num_live() as u64;
-        let base = (
-            self.stats.clauses_subsumed,
-            self.stats.clauses_strengthened,
-            self.stats.vars_eliminated,
-            self.stats.elim_resolvents,
-        );
+        let base = self.stats.since(&Stats::default());
 
         // Index every live original clause as-is; stale literals (falsified
         // by units learnt since insertion) are stripped by the initial
@@ -169,7 +165,7 @@ impl Solver {
             }
         }
 
-        if self.stats.vars_eliminated > base.2 {
+        if self.stats.vars_eliminated > base.vars_eliminated {
             // Learnt clauses mentioning an eliminated variable are sound
             // but useless (the variable is unbranchable and unconstrained):
             // drop them so no live clause mentions an eliminated variable.
@@ -209,12 +205,13 @@ impl Solver {
         }
 
         if observing {
+            let done = self.stats.since(&base);
             let event = SolveEvent::Simplify {
                 rounds,
-                subsumed: self.stats.clauses_subsumed - base.0,
-                strengthened: self.stats.clauses_strengthened - base.1,
-                eliminated: self.stats.vars_eliminated - base.2,
-                resolvents: self.stats.elim_resolvents - base.3,
+                subsumed: done.clauses_subsumed,
+                strengthened: done.clauses_strengthened,
+                eliminated: done.vars_eliminated,
+                resolvents: done.elim_resolvents,
                 clauses_before,
                 clauses_after: self.db.num_live() as u64,
             };

@@ -169,12 +169,13 @@ impl Solver {
         }
         let status = self.search(proof);
         if self.events.observer.is_some() {
+            let spent = self.limits.spent(&self.stats);
             let event = SolveEvent::SolveDone {
                 verdict: SolveVerdict::from(&status),
-                conflicts: self.limits.conflicts_spent(&self.stats),
-                decisions: self.limits.decisions_spent(&self.stats),
-                propagations: self.limits.propagations_spent(&self.stats),
-                restarts: self.limits.restarts_spent(&self.stats),
+                conflicts: spent.conflicts,
+                decisions: spent.decisions,
+                propagations: spent.propagations,
+                restarts: spent.restarts,
             };
             self.emit(event);
         }

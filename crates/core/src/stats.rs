@@ -30,6 +30,15 @@ impl Merge {
             Merge::Formula => a,
         }
     }
+
+    /// What `now` adds to `base` by this kind: a sum row subtracts, a peak
+    /// or formula row keeps `now`.
+    fn since<T: std::ops::Sub<Output = T>>(self, now: T, base: T) -> T {
+        match self {
+            Merge::Sum => now - base,
+            Merge::Max | Merge::Formula => now,
+        }
+    }
 }
 
 /// The counter table: `doc, name: type = merge kind;` per row.
@@ -76,6 +85,19 @@ macro_rules! counters {
 
             fn merge_counters(&mut self, other: &Stats) {
                 $(self.$name = Merge::$kind.apply(self.$name, other.$name);)+
+            }
+
+            /// The counters accrued since the snapshot `base`, such as the
+            /// spend of one solve call: sum rows subtract, peak and formula
+            /// rows keep this block's value, and the histogram and decision
+            /// log come back empty. `s.since(&Stats::default())` is a
+            /// counters-only copy of `s`, the cheap way to take a base.
+            pub fn since(&self, base: &Stats) -> Stats {
+                Stats {
+                    $($name: Merge::$kind.since(self.$name, base.$name),)+
+                    top_distance_hist: Vec::new(),
+                    decision_log: Vec::new(),
+                }
             }
         }
     };
@@ -333,6 +355,31 @@ mod tests {
             let want = if kind == Merge::Sum { 2 * old } else { old };
             assert_eq!(new, want, "{name} merges as {kind:?}");
         }
+    }
+
+    #[test]
+    fn since_follows_each_rows_kind() {
+        let mut base = Stats::new();
+        let mut now = Stats {
+            top_distance_hist: vec![1, 2],
+            decision_log: vec![Var::new(0)],
+            ..Stats::new()
+        };
+        for (i, &(name, _)) in Stats::COUNTERS.iter().enumerate() {
+            base.set_counter(name, i as u64 + 1).unwrap();
+            now.set_counter(name, 3 * (i as u64 + 1)).unwrap();
+        }
+        let delta = now.since(&base);
+        let rows = Stats::COUNTERS
+            .iter()
+            .zip(now.counters())
+            .zip(delta.counters());
+        for ((&(name, kind), (_, now)), (_, got)) in rows {
+            let want = if kind == Merge::Sum { now / 3 * 2 } else { now };
+            assert_eq!(got, want, "{name} differences as {kind:?}");
+        }
+        assert!(delta.top_distance_hist.is_empty() && delta.decision_log.is_empty());
+        assert_eq!(now.since(&Stats::default()).counters(), now.counters());
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn datapath(width: usize) -> Netlist {
 pub fn npipe(k: usize) -> BenchInstance {
     assert!(k > 0, "pipeline depth must be positive");
     // Multiplier operand widths per depth: the partial-product count is
-    // the difficulty dial (cf. DESIGN.md).
+    // the difficulty dial.
     let (a_bits, b_bits) = match k {
         1 => (4, 4),
         2 => (5, 5),

@@ -3,8 +3,8 @@
 //! The original files (SATLIB, Velev's CMU suite, the Beijing set) are
 //! 2001-era artifacts we cannot download; every class is regenerated from
 //! the same problem family at a size where the full ablation grid of
-//! Tables 1–7 runs in minutes. The per-class scale factors are recorded in
-//! EXPERIMENTS.md.
+//! Tables 1–7 runs in minutes. `berkmin-bench calibrate` times every class
+//! at these sizes (see README, "Reproducing the paper").
 
 use crate::{
     beijing, blocksworld, bmc_gen, hanoi, hole, ksat, miters, parity, pipeline, BenchInstance,
@@ -77,7 +77,7 @@ pub const ABLATION_ORDER: [PaperClass; 12] = [
 
 /// Generates the laptop-scale instance suite for a class.
 ///
-/// Sizes are calibrated (see EXPERIMENTS.md) so the full BerkMin
+/// Sizes are calibrated (with `berkmin-bench calibrate`) so the full BerkMin
 /// configuration finishes each class in seconds while crippled ablation
 /// arms show the paper's slowdowns and aborts.
 pub fn class_suite(class: PaperClass) -> Vec<BenchInstance> {

@@ -81,6 +81,7 @@
 
 use std::cell::RefCell;
 use std::fs;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::rc::Rc;
 
@@ -115,6 +116,21 @@ fn usage() -> ! {
     );
 }
 
+/// The value after a flag, parsed; a missing or malformed one is a usage
+/// error.
+fn value<T: std::str::FromStr>(args: &mut std::slice::Iter<String>) -> T {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// As [`value`], and a usage error outside `range` too.
+fn value_in(args: &mut std::slice::Iter<String>, range: RangeInclusive<usize>) -> usize {
+    Some(value(args))
+        .filter(|n| range.contains(n))
+        .unwrap_or_else(|| usage())
+}
+
 /// Maps the `--engine` preset name to its configuration — the one switch
 /// behind which every comparison arm hides, since all of them are driven
 /// through the same `dyn SatEngine`.
@@ -126,135 +142,128 @@ fn config_by_name(name: &str) -> SolverConfig {
         "less-sensitivity" => SolverConfig::less_sensitivity(),
         "less-mobility" => SolverConfig::less_mobility(),
         "limited-keeping" => SolverConfig::limited_keeping(),
-        "portfolio" => die(
-            "the portfolio engine drives plain solving only; bmc needs one \
-             warm incremental engine — pick a single-solver preset",
-        ),
+        // The portfolio's workers pick their own presets; it takes only the
+        // budget, paranoid and simplify settings from this config.
+        "portfolio" => SolverConfig::berkmin(),
         other => die(format!("unknown engine {other:?}")),
+    }
+}
+
+/// The flags plain solving and `bmc` share. They are only collected while
+/// parsing; [`Common::config`] applies them to the chosen preset afterwards,
+/// so `--engine` (which picks a whole config) cannot drop a budget, seed or
+/// switch given before it.
+#[derive(Default)]
+struct Common {
+    engine: Option<String>,
+    max_conflicts: Option<u64>,
+    seed: Option<u64>,
+    no_simplify: bool,
+    paranoid: bool,
+    stats_json: Option<String>,
+    verbose: bool,
+    quiet: bool,
+}
+
+impl Common {
+    /// Takes `arg` (and its value from `rest`) if it is a shared flag;
+    /// returns false for any other argument.
+    fn parse(&mut self, arg: &str, rest: &mut std::slice::Iter<String>) -> bool {
+        match arg {
+            "--engine" | "--config" => self.engine = Some(value(rest)),
+            "--max-conflicts" => self.max_conflicts = Some(value(rest)),
+            "--seed" => self.seed = Some(value(rest)),
+            "--no-simplify" => self.no_simplify = true,
+            "--paranoid" => self.paranoid = true,
+            "--stats-json" => self.stats_json = Some(value(rest)),
+            "-v" | "--verbose" => self.verbose = true,
+            "--quiet" => self.quiet = true,
+            _ => return false,
+        }
+        true
+    }
+
+    /// Whether `--engine portfolio` was chosen.
+    fn portfolio(&self) -> bool {
+        self.engine.as_deref() == Some("portfolio")
+    }
+
+    /// The `--engine` preset (BerkMin by default) with the budget, seed,
+    /// `--no-simplify` and `--paranoid` settings applied on top.
+    fn config(&self) -> SolverConfig {
+        let mut config = config_by_name(self.engine.as_deref().unwrap_or("berkmin"));
+        if let Some(n) = self.max_conflicts {
+            config.budget = Budget::conflicts(n);
+        }
+        if let Some(n) = self.seed {
+            config.seed = n;
+        }
+        if self.no_simplify {
+            config.simplify = SimplifyConfig::off();
+        }
+        config.paranoid |= self.paranoid;
+        config
     }
 }
 
 struct Options {
     file: Option<String>,
+    common: Common,
     config: SolverConfig,
     proof_path: Option<String>,
     check_proof: bool,
     print_model: bool,
-    quiet: bool,
-    /// `--engine portfolio`: race diversified workers instead of one solver.
-    portfolio: bool,
     threads: usize,
     share_lbd: u32,
     no_share: bool,
     deterministic: bool,
-    stats_json: Option<String>,
-    verbose: bool,
 }
 
-fn parse_args() -> Options {
+fn parse_args(argv: &[String]) -> Options {
     let mut opts = Options {
         file: None,
+        common: Common::default(),
         config: SolverConfig::berkmin(),
         proof_path: None,
         check_proof: false,
         print_model: true,
-        quiet: false,
-        portfolio: false,
         threads: 4,
         share_lbd: 4,
         no_share: false,
         deterministic: false,
-        stats_json: None,
-        verbose: false,
     };
-    // Simplify tweaks are collected separately and applied after the loop,
-    // so `--engine` (which replaces the whole config) cannot clobber them.
-    let mut no_simplify = false;
     let mut elim = false;
     let mut elim_occ_cap: Option<usize> = None;
     let mut elim_growth: Option<usize> = None;
     let mut elim_clause_cap: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = argv.iter();
     while let Some(arg) = args.next() {
+        if opts.common.parse(arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--engine" | "--config" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                if name == "portfolio" {
-                    opts.portfolio = true;
-                } else {
-                    opts.portfolio = false;
-                    opts.config = config_by_name(&name);
-                }
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| (1..=64).contains(&n))
-                    .unwrap_or_else(|| usage());
-            }
+            "--threads" => opts.threads = value_in(&mut args, 1..=64),
             "--share-lbd" => {
-                opts.share_lbd = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
+                opts.share_lbd = value(&mut args);
                 opts.no_share = false;
             }
             "--no-share" => opts.no_share = true,
             "--deterministic" => opts.deterministic = true,
-            "--max-conflicts" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.budget = Budget::conflicts(n);
-            }
-            "--seed" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.seed = n;
-            }
-            "--no-simplify" => no_simplify = true,
             "--elim" => elim = true,
-            "--elim-occ-cap" => {
-                elim_occ_cap = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--elim-growth" => {
-                elim_growth = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--elim-clause-cap" => {
-                elim_clause_cap = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--proof" => opts.proof_path = Some(args.next().unwrap_or_else(|| usage())),
+            "--elim-occ-cap" => elim_occ_cap = Some(value(&mut args)),
+            "--elim-growth" => elim_growth = Some(value(&mut args)),
+            "--elim-clause-cap" => elim_clause_cap = Some(value(&mut args)),
+            "--proof" => opts.proof_path = Some(value(&mut args)),
             "--check-proof" => opts.check_proof = true,
-            "--paranoid" => opts.config.paranoid = true,
-            "--stats-json" => opts.stats_json = Some(args.next().unwrap_or_else(|| usage())),
-            "-v" | "--verbose" => opts.verbose = true,
             "--no-model" => opts.print_model = false,
-            "--quiet" => opts.quiet = true,
             "--help" | "-h" => usage(),
             "-" => opts.file = None,
             f if !f.starts_with('-') => opts.file = Some(f.to_string()),
             _ => usage(),
         }
     }
-    if no_simplify {
-        opts.config.simplify = SimplifyConfig::off();
-    } else {
+    opts.config = opts.common.config();
+    if !opts.common.no_simplify {
         let s = &mut opts.config.simplify;
         // Any elimination cap implies elimination itself.
         s.var_elim = elim
@@ -530,69 +539,38 @@ fn print_model(model: &Assignment, num_vars: usize) {
 struct BmcOptions {
     bits: usize,
     max_depth: Option<usize>,
+    common: Common,
     config: SolverConfig,
     scratch: bool,
-    quiet: bool,
-    stats_json: Option<String>,
-    verbose: bool,
 }
 
 fn parse_bmc_args(argv: &[String]) -> BmcOptions {
     let mut opts = BmcOptions {
         bits: 3,
         max_depth: None,
+        common: Common::default(),
         config: SolverConfig::berkmin(),
         scratch: false,
-        quiet: false,
-        stats_json: None,
-        verbose: false,
     };
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
+        if opts.common.parse(arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--bits" => {
-                opts.bits = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&b| (1..=16).contains(&b))
-                    .unwrap_or_else(|| usage());
-            }
-            "--max-depth" => {
-                opts.max_depth = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--engine" | "--config" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                opts.config = config_by_name(name);
-            }
-            "--max-conflicts" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.budget = Budget::conflicts(n);
-            }
-            "--seed" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.config.seed = n;
-            }
-            "--no-simplify" => opts.config.simplify = SimplifyConfig::off(),
+            "--bits" => opts.bits = value_in(&mut args, 1..=16),
+            "--max-depth" => opts.max_depth = Some(value(&mut args)),
             "--scratch" => opts.scratch = true,
-            "--paranoid" => opts.config.paranoid = true,
-            "--stats-json" => {
-                opts.stats_json = Some(args.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "-v" | "--verbose" => opts.verbose = true,
-            "--quiet" => opts.quiet = true,
             _ => usage(),
         }
     }
+    if opts.common.portfolio() {
+        die(
+            "the portfolio engine drives plain solving only; bmc needs one \
+             warm incremental engine — pick a single-solver preset",
+        );
+    }
+    opts.config = opts.common.config();
     opts
 }
 
@@ -606,7 +584,7 @@ fn run_bmc(argv: &[String]) -> ExitCode {
     let bits = opts.bits;
     let max_depth = opts.max_depth.unwrap_or((1 << bits) - 1);
     let pattern: Vec<(usize, bool)> = (0..bits).map(|o| (o, true)).collect();
-    if !opts.quiet {
+    if !opts.common.quiet {
         println!(
             "c berkmin-cli bmc: {bits}-bit enabled counter, all-ones target, \
              depths 0..={max_depth}, {} mode",
@@ -630,7 +608,7 @@ fn run_bmc(argv: &[String]) -> ExitCode {
     let mut depths: Vec<(usize, &'static str, u64)> = Vec::new();
     let mut final_stats = Stats::default();
     if opts.scratch {
-        let quiet = opts.quiet;
+        let quiet = opts.common.quiet;
         let depths = &mut depths;
         let (result, conflicts) = scratch_first_reaching_depth(
             &netlist,
@@ -660,7 +638,7 @@ fn run_bmc(argv: &[String]) -> ExitCode {
         // The incremental sweep runs entirely behind the trait object: the
         // `--engine` preset only decides what the builder assembles.
         let mut engine = SolverBuilder::with_config(opts.config.clone()).build_engine();
-        if opts.verbose {
+        if opts.common.verbose {
             engine.set_observer(Some(Box::new(verbose_observer())));
         }
         let mut driver = BmcDriver::with_engine(netlist, engine);
@@ -668,7 +646,7 @@ fn run_bmc(argv: &[String]) -> ExitCode {
             let status = driver.check_outputs_at(t, &pattern);
             total_conflicts = driver.engine().stats().conflicts;
             depths.push((t, describe(&status), total_conflicts));
-            if !opts.quiet {
+            if !opts.common.quiet {
                 println!(
                     "c depth {t}: {} (conflicts so far {total_conflicts})",
                     describe(&status)
@@ -687,7 +665,7 @@ fn run_bmc(argv: &[String]) -> ExitCode {
             }
         }
         let s = driver.engine().stats();
-        if !opts.quiet {
+        if !opts.common.quiet {
             println!(
                 "c warm engine: {} solve calls, {} learnt total, {} deleted",
                 s.solve_calls, s.learnt_total, s.deleted_clauses
@@ -696,7 +674,7 @@ fn run_bmc(argv: &[String]) -> ExitCode {
         final_stats = s.clone();
     }
 
-    if !opts.quiet {
+    if !opts.common.quiet {
         println!(
             "c time {:.3} s  total conflicts {total_conflicts}",
             start.elapsed().as_secs_f64()
@@ -710,7 +688,7 @@ fn run_bmc(argv: &[String]) -> ExitCode {
     } else {
         SolveVerdict::Unsat
     };
-    if let Some(path) = &opts.stats_json {
+    if let Some(path) = &opts.common.stats_json {
         let depths_json = JsonValue::Array(
             depths
                 .iter()
@@ -768,14 +746,14 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("bmc") {
         return run_bmc(&argv[1..]);
     }
-    let opts = parse_args();
+    let opts = parse_args(&argv);
 
     // Assemble the engine: the proof sink attaches at construction time,
     // shared through an Rc so the recorded proof can be read back after
     // solving.
     let want_proof = opts.proof_path.is_some() || opts.check_proof;
     let proof = Rc::new(RefCell::new(DratProof::new()));
-    let mut holder = if opts.portfolio {
+    let mut holder = if opts.common.portfolio() {
         let share = (!opts.no_share).then_some(opts.share_lbd);
         if want_proof && share.is_some() {
             die("configuration error: --proof/--check-proof with clause \
@@ -802,7 +780,7 @@ fn main() -> ExitCode {
         }
         EngineHolder::Single(builder.build_engine())
     };
-    if opts.verbose {
+    if opts.common.verbose {
         holder
             .as_engine()
             .set_observer(Some(Box::new(verbose_observer())));
@@ -818,7 +796,7 @@ fn main() -> ExitCode {
         };
         stream_input(&opts.file, &mut ingest)
     };
-    if !opts.quiet {
+    if !opts.common.quiet {
         println!(
             "c berkmin-cli: {} variables, {} clauses",
             summary.num_vars, summary.num_clauses
@@ -829,7 +807,7 @@ fn main() -> ExitCode {
     let status = holder.as_engine().solve();
     let elapsed = start.elapsed();
 
-    if !opts.quiet {
+    if !opts.common.quiet {
         let s = holder.stats();
         println!(
             "c decisions {} conflicts {} propagations {} restarts {} learnt {}",
@@ -861,7 +839,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &opts.stats_json {
+    if let Some(path) = &opts.common.stats_json {
         let mut extra = Vec::new();
         if let EngineHolder::Portfolio(p) = &holder {
             extra.push(("workers".to_string(), workers_json(p)));
@@ -898,7 +876,7 @@ fn main() -> ExitCode {
                     eprintln!("cannot write proof to {path}: {e}");
                     return ExitCode::from(3);
                 }
-                if !opts.quiet {
+                if !opts.common.quiet {
                     println!("c proof: {} steps written to {path}", proof.len());
                 }
             }
@@ -906,7 +884,7 @@ fn main() -> ExitCode {
                 let cnf = mirror.as_ref().expect("mirror kept for --check-proof");
                 match check_refutation(cnf, &proof) {
                     Ok(report) => {
-                        if !opts.quiet {
+                        if !opts.common.quiet {
                             println!(
                                 "c proof checked: {} additions verified",
                                 report.additions_checked
@@ -923,7 +901,7 @@ fn main() -> ExitCode {
         }
         SolveStatus::Unknown(reason) => {
             println!("s UNKNOWN");
-            if !opts.quiet {
+            if !opts.common.quiet {
                 println!("c stopped: {reason}");
             }
             ExitCode::SUCCESS

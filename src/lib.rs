@@ -5,8 +5,8 @@
 //! ([`berkmin_circuit`]), the benchmark generators ([`berkmin_gens`]) and
 //! the proof machinery ([`berkmin_drat`]).
 //!
-//! See the workspace README for the tour, DESIGN.md for the system
-//! inventory, and EXPERIMENTS.md for the paper-vs-measured record.
+//! See the workspace README for the tour; its "Reproducing the paper"
+//! section shows how `berkmin-bench all` regenerates every table.
 //!
 //! # Example
 //!

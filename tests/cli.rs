@@ -495,3 +495,64 @@ fn paranoid_flag_is_accepted_and_solves_normally() {
     assert_eq!(code, 20, "{stdout}");
     assert!(stdout.contains("proof checked"), "{stdout}");
 }
+
+/// Regression: `--engine` used to replace the whole configuration, so a
+/// budget given before it was silently dropped and hole(7) ran to UNSAT.
+/// The shared flags now apply after the preset in either order.
+#[test]
+fn budget_survives_a_later_engine_flag() {
+    let hole7 = pigeonhole_dimacs(7);
+    for args in [
+        ["--engine", "chaff", "--max-conflicts", "10", "--no-model"],
+        ["--max-conflicts", "10", "--engine", "chaff", "--no-model"],
+    ] {
+        let (stdout, code) = run_with_stdin(&args, &hole7);
+        assert_eq!(code, 0, "args {args:?}: {stdout}");
+        assert!(stdout.contains("s UNKNOWN"), "args {args:?}: {stdout}");
+        assert_eq!(stdout_counter(&stdout, "conflicts"), 10, "args {args:?}");
+    }
+}
+
+/// The same flag-order regression on `bmc`: with the budget before
+/// `--engine`, the sweep used to ignore it and reach depth 15 (exit 10).
+#[test]
+fn bmc_budget_survives_a_later_engine_flag() {
+    for args in [
+        [
+            "bmc",
+            "--bits",
+            "4",
+            "--engine",
+            "chaff",
+            "--max-conflicts",
+            "1",
+        ],
+        [
+            "bmc",
+            "--bits",
+            "4",
+            "--max-conflicts",
+            "1",
+            "--engine",
+            "chaff",
+        ],
+    ] {
+        let (stdout, code) = run_with_stdin(&args, "");
+        assert_eq!(code, 0, "args {args:?}: {stdout}");
+        assert!(stdout.contains("s UNKNOWN"), "args {args:?}: {stdout}");
+        assert!(stdout.contains("conflict budget exhausted"), "{stdout}");
+    }
+}
+
+/// `bmc` needs one warm incremental engine, so it refuses the portfolio
+/// wherever `--engine` appears among its flags.
+#[test]
+fn bmc_rejects_the_portfolio_engine() {
+    for args in [
+        ["bmc", "--engine", "portfolio", "--bits", "3"],
+        ["bmc", "--bits", "3", "--engine", "portfolio"],
+    ] {
+        let (stdout, code) = run_with_stdin(&args, "");
+        assert_eq!(code, 2, "args {args:?}: {stdout}");
+    }
+}

@@ -69,6 +69,11 @@ fn ci_keeps_the_bench_smoke_step() {
          re-solving"
     );
     assert!(
+        ci.contains("cargo run --release -p berkmin-bench -- table3"),
+        "CI workflow dropped the paper-table smoke step; the table \
+         subcommands of berkmin-bench would rot silently without it"
+    );
+    assert!(
         ci.contains("workspace-guard:"),
         "CI workflow lost its marker comment linking back to tests/workspace_guard.rs"
     );
@@ -87,7 +92,7 @@ fn ci_keeps_the_portfolio_steps() {
          verdicts would no longer be checked against the lone solver"
     );
     assert!(
-        ci.contains("--bin portfolio_bench -- --smoke --threads 2"),
+        ci.contains("cargo run --release -p berkmin-bench -- portfolio --smoke --threads 2"),
         "CI workflow dropped the portfolio bench smoke step; the 1-vs-N \
          thread comparison (BENCH_portfolio.json) would rot silently"
     );
@@ -160,7 +165,7 @@ fn ci_keeps_the_preprocessing_steps() {
          extension over eliminated variables would go unexercised"
     );
     assert!(
-        ci.contains("--bin preprocess_bench -- --smoke"),
+        ci.contains("cargo run --release -p berkmin-bench -- preprocess --smoke"),
         "CI workflow dropped the preprocess bench smoke step; the on/off \
          comparison (BENCH_preprocess.json) would rot silently"
     );
